@@ -255,11 +255,10 @@ func BenchmarkSweepGrid(b *testing.B) {
 // bench-major scheduling against the critical-path scheduler on the same
 // grid: five benchmarks × all three sensitivity axes (27 points each),
 // measured under the L target with a fixed 8-worker pool. The two sides run
-// back to back on interleaved timers within each iteration — the paired
-// pattern of BenchmarkSimBatched — so machine-speed drift cancels out of
-// the reported sweep-sched-gain ratio (naive / scheduled wall-clock; > 1
-// means the scheduler wins). cmd/benchgate gates that ratio at no worse
-// than naive. Each side uses a fresh Lab (cold store, cost model at
+// back to back on interleaved timers within each iteration, so
+// machine-speed drift cancels out of the reported sweep-sched-gain ratio
+// (naive / scheduled wall-clock; > 1 means the scheduler wins).
+// cmd/benchgate gates that ratio at no worse than naive. Each side uses a fresh Lab (cold store, cost model at
 // priors), so the gain measured is pure ordering: starting the grid's long
 // trace → profile → slices chains first and pre-building shared stages on
 // idle workers instead of convoying every worker behind grid-order
@@ -397,138 +396,6 @@ func simHotLoop(b *testing.B, engine cpu.Engine) {
 func BenchmarkSimHotLoop(b *testing.B) {
 	b.Run("event", func(b *testing.B) { simHotLoop(b, cpu.EngineEvent) })
 	b.Run("scan", func(b *testing.B) { simHotLoop(b, cpu.EngineScan) })
-}
-
-// simBatched times the same hot loop through cpu.BatchSimulator at width k:
-// every workload is simulated k instances at a time through one shared
-// streaming pass over its trace chunks. Reported sim-cycles/s aggregates
-// all k instances, so dividing by the serial (k1) column gives the batch
-// speedup — how much cheaper k batched runs are than k serial ones. The
-// batch simulator is built and warmed outside the timed region; with every
-// pool grown the timed loop performs zero allocations.
-func simBatched(b *testing.B, k int) {
-	ctx := context.Background()
-	workloads := hotLoopWorkloads(b)
-	simCfg := hotLoop.cfg.CPU
-	simCfg.Engine = cpu.EngineEvent
-	cfgs := make([]cpu.Config, k)
-	pthreads := make([][]*cpu.PThread, k)
-	bs := cpu.NewBatchSimulator()
-	run := func(wl hotLoopWorkload) int64 {
-		for j := range cfgs {
-			cfgs[j] = simCfg
-			pthreads[j] = wl.pthreads
-		}
-		if err := bs.Reset(cfgs, wl.trace, pthreads); err != nil {
-			b.Fatal(err)
-		}
-		results, errs, err := bs.RunContext(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var cycles int64
-		for j, res := range results {
-			if errs[j] != nil {
-				b.Fatal(errs[j])
-			}
-			cycles += res.Cycles
-		}
-		return cycles
-	}
-	for _, wl := range workloads {
-		run(wl) // warm-up pass grows every instance's pools
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var cycles int64
-	for i := 0; i < b.N; i++ {
-		for _, wl := range workloads {
-			cycles += run(wl)
-		}
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
-}
-
-// BenchmarkSimBatched compares batched simulation against serial across
-// widths: k1 is the serial event engine (the denominator), k2/k4/k8 run the
-// same workloads through cpu.BatchSimulator, and speedup4 is the paired
-// variant of the k4/k1 comparison: per workload, four serial runs and one
-// width-4 batch execute back to back on interleaved timers, so machine-
-// speed drift over the benchmark's lifetime cancels out of the reported
-// batch-speedup-k4 ratio. cmd/benchgate gates that ratio (BatchSpeedupK4)
-// above 1.0 — four batched runs must beat four serial runs — and the
-// batched loop at 0 allocs/op. speedup1 is the paired control at width 1:
-// it isolates the cost of the windowed-resume machinery itself (no sharing
-// at width 1, and BatchSimulator skips the spawn oracle), so it should sit
-// at ~1.0.
-func BenchmarkSimBatched(b *testing.B) {
-	b.Run("k1", func(b *testing.B) { simHotLoop(b, cpu.EngineEvent) })
-	b.Run("k2", func(b *testing.B) { simBatched(b, 2) })
-	b.Run("k4", func(b *testing.B) { simBatched(b, 4) })
-	b.Run("k8", func(b *testing.B) { simBatched(b, 8) })
-	b.Run("speedup1", func(b *testing.B) { simBatchSpeedup(b, 1) })
-	b.Run("speedup4", func(b *testing.B) { simBatchSpeedup(b, 4) })
-}
-
-// simBatchSpeedup times k serial runs against one width-k batch of the same
-// workload, interleaved per workload within each iteration, and reports the
-// serial/batched wall-clock ratio. Pairing the two sides at ~seconds
-// granularity makes the ratio robust to frequency scaling and CPU steal,
-// which can swing independently-measured columns by ±20% on shared runners.
-func simBatchSpeedup(b *testing.B, k int) {
-	ctx := context.Background()
-	workloads := hotLoopWorkloads(b)
-	simCfg := hotLoop.cfg.CPU
-	simCfg.Engine = cpu.EngineEvent
-	sims := make([]*cpu.Simulator, len(workloads))
-	for i, wl := range workloads {
-		s, err := cpu.NewSimulator(simCfg, wl.trace, wl.pthreads)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.RunContext(ctx); err != nil {
-			b.Fatal(err)
-		}
-		sims[i] = s
-	}
-	cfgs := make([]cpu.Config, k)
-	pthreads := make([][]*cpu.PThread, k)
-	bs := cpu.NewBatchSimulator()
-	runBatch := func(wl hotLoopWorkload) {
-		for j := range cfgs {
-			cfgs[j] = simCfg
-			pthreads[j] = wl.pthreads
-		}
-		if err := bs.Reset(cfgs, wl.trace, pthreads); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := bs.RunContext(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, wl := range workloads {
-		runBatch(wl) // warm-up pass grows every instance's pools
-	}
-	b.ResetTimer()
-	var serial, batched time.Duration
-	for i := 0; i < b.N; i++ {
-		for j, wl := range workloads {
-			start := time.Now()
-			for r := 0; r < k; r++ {
-				if err := sims[j].Reset(simCfg, wl.trace, wl.pthreads); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sims[j].RunContext(ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-			serial += time.Since(start)
-			start = time.Now()
-			runBatch(wl)
-			batched += time.Since(start)
-		}
-	}
-	b.ReportMetric(serial.Seconds()/batched.Seconds(), fmt.Sprintf("batch-speedup-k%d", k))
 }
 
 // BenchmarkFigureSuite regenerates the paper's full figure suite (Figures

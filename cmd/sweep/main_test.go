@@ -20,8 +20,9 @@ func TestParseCLIValidatesLocally(t *testing.T) {
 		{"bad gen family", []string{"-addr", "http://x", "-gen", "no-such-family:1"}, "family"},
 		{"bad gen knob", []string{"-addr", "http://x", "-gen", "pointer-chase:1:zzz=3"}, "zzz"},
 		{"bad target", []string{"-addr", "http://x", "-targets", "Q"}, "unknown target"},
-		{"bad engine", []string{"-addr", "http://x", "-engine", "bogus"}, "valid engines: event, scan, batched"},
-		{"bad engine local", []string{"-engine", "bogus"}, "valid engines: event, scan, batched"},
+		{"bad engine", []string{"-addr", "http://x", "-engine", "bogus"}, "valid engines: event, scan"},
+		{"bad engine local", []string{"-engine", "bogus"}, "valid engines: event, scan"},
+		{"batched engine", []string{"-engine", "batched"}, "valid engines: event, scan"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := parseCLI(tc.args); err == nil {
@@ -34,11 +35,11 @@ func TestParseCLIValidatesLocally(t *testing.T) {
 }
 
 // TestParseCLIRemoteArgs verifies the remote submission carries exactly the
-// validated flag values, and that engines and batch widths parse into the
-// typed API values the local path feeds the Lab.
+// validated flag values, and that engines parse into the typed API values
+// the local path feeds the Lab.
 func TestParseCLIRemoteArgs(t *testing.T) {
 	c, err := parseCLI([]string{"-addr", "http://x", "-axis", "idle, mem",
-		"-gen", "pointer-chase:7", "-targets", "L, P2", "-engine", "batched", "-batch", "6"})
+		"-gen", "pointer-chase:7", "-targets", "L, P2", "-engine", "scan"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +52,8 @@ func TestParseCLIRemoteArgs(t *testing.T) {
 	if got := strings.Join(c.targetNames, "|"); got != "L|P2" {
 		t.Errorf("targetNames = %q", got)
 	}
-	if c.engine != preexec.EngineBatched || c.batch != 6 {
-		t.Errorf("engine = %q batch = %d, want batched/6", c.engine, c.batch)
+	if c.engine != preexec.EngineScan {
+		t.Errorf("engine = %q, want scan", c.engine)
 	}
 	if len(c.names) != 0 {
 		t.Errorf("-gen alone should sweep no built-ins, got %v", c.names)
@@ -62,8 +63,8 @@ func TestParseCLIRemoteArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.engine != preexec.EngineEvent || c.batch != 0 {
-		t.Errorf("defaults: engine = %q batch = %d, want event/0", c.engine, c.batch)
+	if c.engine != preexec.EngineEvent {
+		t.Errorf("defaults: engine = %q, want event", c.engine)
 	}
 	if len(c.names) == 0 {
 		t.Error("default benchmark triple missing")

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -103,11 +104,35 @@ func TestEnginesAgreeStress(t *testing.T) {
 	}
 }
 
-// TestUnknownEngineRejected pins the Engine knob's validation.
+// TestUnknownEngineRejected pins the Engine knob's validation: ParseEngine
+// and the simulator accept only the event and scan engines, and ParseEngine
+// names the valid set when it refuses.
 func TestUnknownEngineRejected(t *testing.T) {
+	assertEngineRejected(t, "bogus")
+	for name, want := range map[string]Engine{"": EngineEvent, "event": EngineEvent, "scan": EngineScan} {
+		if got, err := ParseEngine(name); err != nil || got != want {
+			t.Errorf("ParseEngine(%q) = %q, %v; want %q", name, got, err, want)
+		}
+	}
+}
+
+// TestBatchedEngineRejected pins that "batched" is no longer an engine:
+// configs naming it are refused by ParseEngine and the simulator alike
+// rather than silently run on another engine.
+func TestBatchedEngineRejected(t *testing.T) {
+	assertEngineRejected(t, "batched")
+}
+
+func assertEngineRejected(t *testing.T, name string) {
+	t.Helper()
+	if _, err := ParseEngine(name); err == nil {
+		t.Errorf("ParseEngine(%q) accepted", name)
+	} else if !strings.Contains(err.Error(), "valid engines: event, scan") {
+		t.Errorf("ParseEngine(%q): error %q does not list the valid engines", name, err)
+	}
 	cfg := DefaultConfig()
-	cfg.Engine = "bogus"
+	cfg.Engine = Engine(name)
 	if _, err := Run(cfg, trace.MustRun(aluChain(4)), nil); err == nil {
-		t.Fatal("unknown engine accepted")
+		t.Errorf("engine %q accepted by the simulator", name)
 	}
 }

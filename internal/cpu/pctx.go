@@ -31,23 +31,12 @@ type pctx struct {
 	spawnID int32
 	statIdx int32 // index into the simulator's pthStats
 
-	// Precomputed at spawn: the active slices the issue pass reads. For a
-	// serial spawn they alias the context-owned bufs below; for a batched
-	// spawn they alias a shared, read-only spawn record computed once per
-	// trigger site by the batch's spawn oracle.
-	vals       []int64
-	addrs      []int64
-	dep1       []depRef
-	dep2       []depRef
-	targetMask []bool // per body index: is a prefetch target load
-	abortAt    int    // body index of a wild (out-of-range) address; len(Body) if none
-
-	// Context-owned storage backing serial spawns (grow-only).
-	valsBuf   []int64
-	addrsBuf  []int64
-	dep1Buf   []depRef
-	dep2Buf   []depRef
-	targetBuf []bool
+	// Precomputed at spawn.
+	vals    []int64
+	addrs   []int64
+	dep1    []depRef
+	dep2    []depRef
+	abortAt int // body index of a wild (out-of-range) address; len(Body) if none
 
 	// Progress.
 	fetched      int
@@ -57,6 +46,8 @@ type pctx struct {
 	nextBlockAt  int64
 	blockReadyAt int64
 	completeAt   []int64
+
+	targetMask []bool // per body index: is a prefetch target load
 }
 
 // limit returns the effective body length: an aborted body squashes at the
@@ -69,20 +60,22 @@ func (c *pctx) isTarget(j int) bool { return c.targetMask[j] }
 // instructions. Called once per context at simulator construction; init then
 // reslices without allocating.
 func (c *pctx) grow(n int) {
-	if cap(c.valsBuf) >= n {
+	if cap(c.vals) >= n {
 		return
 	}
-	c.valsBuf = make([]int64, n)
-	c.addrsBuf = make([]int64, n)
-	c.dep1Buf = make([]depRef, n)
-	c.dep2Buf = make([]depRef, n)
+	c.vals = make([]int64, n)
+	c.addrs = make([]int64, n)
+	c.dep1 = make([]depRef, n)
+	c.dep2 = make([]depRef, n)
 	c.completeAt = make([]int64, n)
-	c.targetBuf = make([]bool, n)
+	c.targetMask = make([]bool, n)
 }
 
-// beginInstance resets the per-instance progress and timing state shared by
-// both spawn paths. grow must have been called for n first.
-func (c *pctx) beginInstance(pt *PThread, spawnID, statIdx int32, now int64, n int) {
+// init prepares the context for a new instance of pt, executing the body
+// functionally to obtain values, addresses and dependence references.
+func (c *pctx) init(pt *PThread, spawnID, statIdx int32, s *Simulator) {
+	body := pt.Body
+	n := len(body)
 	c.active = true
 	c.pt = pt
 	c.spawnID = spawnID
@@ -91,80 +84,38 @@ func (c *pctx) beginInstance(pt *PThread, spawnID, statIdx int32, now int64, n i
 	c.dispatched = 0
 	c.issued = 0
 	c.freed = 0
-	c.nextBlockAt = now
-	c.blockReadyAt = now
+	c.nextBlockAt = s.now
+	c.blockReadyAt = s.now
 	c.abortAt = n
+	c.grow(n) // no-op in steady state: NewSimulator sized the pools
+	c.vals = c.vals[:n]
+	c.addrs = c.addrs[:n]
+	c.dep1 = c.dep1[:n]
+	c.dep2 = c.dep2[:n]
 	c.completeAt = c.completeAt[:n]
 	for i := range c.completeAt {
 		c.completeAt[i] = 0
 	}
-}
-
-// init prepares the context for a new instance of pt, executing the body
-// functionally to obtain values, addresses and dependence references.
-func (c *pctx) init(pt *PThread, spawnID, statIdx int32, s *Simulator) {
-	n := len(pt.Body)
-	c.grow(n) // no-op in steady state: NewSimulator sized the pools
-	c.beginInstance(pt, spawnID, statIdx, s.now, n)
-	c.vals = c.valsBuf[:n]
-	c.addrs = c.addrsBuf[:n]
-	c.dep1 = c.dep1Buf[:n]
-	c.dep2 = c.dep2Buf[:n]
-	c.targetMask = c.targetBuf[:n]
+	c.targetMask = c.targetMask[:n]
 	for i := range c.targetMask {
 		c.targetMask[i] = false
 	}
 	for _, t := range pt.Targets {
 		c.targetMask[t] = true
 	}
-	c.abortAt = execBody(pt.Body, &s.specRegs, s.lastWriter[:], s.mem,
-		c.vals, c.addrs, c.dep1, c.dep2)
-	if c.abortAt < n {
-		s.pthStats[statIdx].Aborted++
-	}
-}
 
-// initShared prepares the context for a batched instance of pt whose
-// functional pre-execution was already performed by the batch's shared
-// spawn oracle. The dataflow slices alias the read-only record (identical
-// for every instance sharing the trace and p-thread set, since the
-// dispatch-time architectural state is a pure function of the program-order
-// prefix); only timing state — progress counters and completion times — is
-// per-context.
-func (c *pctx) initShared(pt *PThread, spawnID, statIdx int32, now int64, rec *spawnRec, mask []bool) {
-	n := len(pt.Body)
-	c.grow(n)
-	c.beginInstance(pt, spawnID, statIdx, now, n)
-	c.vals = rec.vals
-	c.addrs = rec.addrs
-	c.dep1 = rec.dep1
-	c.dep2 = rec.dep2
-	c.targetMask = mask
-	c.abortAt = rec.abortAt
-}
-
-// execBody functionally pre-executes body against a dispatch-time
-// architectural snapshot (register values, per-register last in-flight
-// writer, and the program-order memory image), filling vals, addrs and the
-// dependence references. It returns the abort index: the body position of a
-// wild address or undefined ALU result, or len(body) if the whole body
-// executed. Slots at and beyond the abort index are left unspecified, as
-// the context squashes there. The snapshot is read-only; depends only on
-// the main thread's program-order prefix, never on simulated timing.
-func execBody(body []isa.Inst, specRegs *[isa.NumRegs]int64, lastWriter, mem []int64,
-	vals, addrs []int64, dep1, dep2 []depRef) int {
-	n := len(body)
+	// Functional pre-execution with dependence tracking.
 	var regs [64]int64
-	copy(regs[:], specRegs[:])
+	copy(regs[:], s.specRegs[:])
 	var bodyWriter [64]int64 // body index of last writer, -1 = main thread
 	for r := range bodyWriter {
 		bodyWriter[r] = -1
 	}
-	memWords := int64(len(mem))
+	memWords := int64(len(s.mem))
 	for j := 0; j < n; j++ {
 		in := body[j]
-		dep1[j] = depFor(in.ReadsSrc1(), in.Src1, bodyWriter[:], lastWriter)
-		dep2[j] = depFor(in.ReadsSrc2(), in.Src2, bodyWriter[:], lastWriter)
+		c.dep1[j] = c.depFor(in.ReadsSrc1(), in.Src1, bodyWriter[:], s)
+		c.dep2[j] = c.depFor(in.ReadsSrc2(), in.Src2, bodyWriter[:], s)
 		switch {
 		case in.IsALU():
 			v, err := in.Eval(regs[in.Src1], regs[in.Src2])
@@ -172,9 +123,11 @@ func execBody(body []isa.Inst, specRegs *[isa.NumRegs]int64, lastWriter, mem []i
 				// Unreachable after PThread.Validate (bodies are ALU/Load/Nop
 				// only), but a body that somehow defies ALU semantics squashes
 				// like a wild address instead of crashing the simulation.
-				return j
+				c.abortAt = j
+				s.pthStats[statIdx].Aborted++
+				return
 			}
-			vals[j] = v
+			c.vals[j] = v
 			if in.HasDst() {
 				regs[in.Dst] = v
 				bodyWriter[in.Dst] = int64(j)
@@ -185,28 +138,29 @@ func execBody(body []isa.Inst, specRegs *[isa.NumRegs]int64, lastWriter, mem []i
 				// Wild address: the context squashes here, as a real
 				// implementation would suppress the fault and kill the
 				// p-thread.
-				return j
+				c.abortAt = j
+				s.pthStats[statIdx].Aborted++
+				return
 			}
-			addrs[j] = addr
-			v := mem[addr>>3]
-			vals[j] = v
+			c.addrs[j] = addr
+			v := s.mem[addr>>3]
+			c.vals[j] = v
 			if in.HasDst() {
 				regs[in.Dst] = v
 				bodyWriter[in.Dst] = int64(j)
 			}
 		}
 	}
-	return n
 }
 
-func depFor(reads bool, r isa.Reg, bodyWriter, lastWriter []int64) depRef {
+func (c *pctx) depFor(reads bool, r isa.Reg, bodyWriter []int64, s *Simulator) depRef {
 	if !reads || r == isa.Zero {
 		return depRef{kind: depNone}
 	}
 	if bw := bodyWriter[r]; bw >= 0 {
 		return depRef{kind: depBody, idx: bw}
 	}
-	if lw := lastWriter[r]; lw != trace.NoProducer {
+	if lw := s.lastWriter[r]; lw != trace.NoProducer {
 		// Only an in-flight, not-yet-complete producer creates a wait; a
 		// committed or completed one is folded into depNone lazily by the
 		// readiness check (which treats completed producers as ready).

@@ -54,12 +54,6 @@ type Simulator struct {
 	cfg  Config
 	tr   *trace.Trace
 	prog *isa.Program
-	// vw, when non-nil, is a shared flat decoded mirror of tr installed by
-	// a BatchSimulator: the hot stages read trace columns and per-entry
-	// static predicates through it instead of the chunked accessors. The
-	// batch guarantees every entry a stage can touch is decoded before the
-	// instance runs. Serial runs leave it nil (Reset clears it).
-	vw   *trace.DecodedView
 	hier *cache.Hierarchy
 	bp   *bpred.Predictor
 	// bpCfg remembers the raw requested predictor configuration so Reset can
@@ -69,12 +63,6 @@ type Simulator struct {
 
 	now int64
 	n   int
-
-	// lastCommit is the cycle of the most recent main-thread commit; the
-	// no-progress deadlock guard measures from it. It lives on the
-	// Simulator (not as a run-loop local) so a batched run can pause an
-	// instance at a chunk boundary and resume it later bit-identically.
-	lastCommit int64
 
 	// Main-thread front end.
 	fetchIdx        int
@@ -92,17 +80,11 @@ type Simulator struct {
 	rsUsed          int
 	physUsed        int
 
-	// Dispatch-time architectural state (correct path). When the simulator
-	// runs as a batch instance, shared points at its oracle group: the
-	// batch's spawn oracle then owns specRegs/lastWriter/mem maintenance
-	// (one program-order replay for all instances) and spawns consume
-	// precomputed records via spawnCursor instead of re-executing bodies.
-	specRegs    [isa.NumRegs]int64
-	lastWriter  [isa.NumRegs]int64
-	mem         []int64
-	inflightSt  []int32 // per memory word: dispatched, uncommitted stores
-	shared      *oracleGroup
-	spawnCursor int
+	// Dispatch-time architectural state (correct path).
+	specRegs   [isa.NumRegs]int64
+	lastWriter [isa.NumRegs]int64
+	mem        []int64
+	inflightSt []int32 // per memory word: dispatched, uncommitted stores
 
 	// Pre-execution. Triggers are a per-PC intrusive list over the installed
 	// p-threads (trigHead[pc] -> first index, trigNext chains in install
@@ -167,9 +149,7 @@ func grow[T any](s []T, n int) []T {
 // returned by this simulator is invalidated (see Simulator doc).
 func (s *Simulator) Reset(cfg Config, tr *trace.Trace, pthreads []*PThread) error {
 	if cfg.Engine != EngineEvent && cfg.Engine != EngineScan {
-		// EngineBatched is a scheduling property of a BatchSimulator (or a
-		// sweep), not of a single instance; it is rejected here too.
-		return fmt.Errorf("cpu: unknown engine %q for a single simulator (valid engines: event, scan)", cfg.Engine)
+		return fmt.Errorf("cpu: unknown engine %q (valid engines: event, scan)", cfg.Engine)
 	}
 	for _, pt := range pthreads {
 		if err := pt.Validate(); err != nil {
@@ -186,7 +166,6 @@ func (s *Simulator) Reset(cfg Config, tr *trace.Trace, pthreads []*PThread) erro
 	s.cfg = cfg
 	s.tr = tr
 	s.prog = tr.Prog
-	s.vw = nil // serial by default; BatchSimulator re-installs its view
 	s.n = n
 	s.pcFlags = grow(s.pcFlags, len(s.prog.Insts))
 	s.pcLats = grow(s.pcLats, len(s.prog.Insts))
@@ -208,7 +187,6 @@ func (s *Simulator) Reset(cfg Config, tr *trace.Trace, pthreads []*PThread) erro
 	}
 
 	s.now = 0
-	s.lastCommit = 0
 	s.fetchIdx = 0
 	s.fetchResumeAt = 0
 	s.stalledOnBranch = -1
@@ -240,8 +218,6 @@ func (s *Simulator) Reset(cfg Config, tr *trace.Trace, pthreads []*PThread) erro
 	for r := range s.lastWriter {
 		s.lastWriter[r] = -1
 	}
-	s.shared = nil // serial by default; BatchSimulator re-installs its group
-	s.spawnCursor = 0
 	memWords := len(tr.Prog.InitMem)
 	s.mem = grow(s.mem, memWords)
 	copy(s.mem, tr.Prog.InitMem)
@@ -374,93 +350,7 @@ func (s *Simulator) maxCycles() int64 {
 }
 
 //lab:hotpath
-func (s *Simulator) inst(d int32) isa.Inst { return s.prog.Insts[s.trPC(int(d))] }
-
-// Trace-column accessors for the pipeline stages: reads go through the
-// batch-shared decoded view when one is installed (flat columns, producer
-// indices and predicate bytes already materialized) and fall back to the
-// trace's chunked accessors for serial runs. Both paths return identical
-// values, so engine results do not depend on how an instance is driven.
-
-//lab:hotpath
-func (s *Simulator) trPC(i int) int32 {
-	if v := s.vw; v != nil {
-		return v.PC[i]
-	}
-	return s.tr.PC(i)
-}
-
-//lab:hotpath
-func (s *Simulator) trAddr(i int) int64 {
-	if v := s.vw; v != nil {
-		return v.Addr[i]
-	}
-	return s.tr.Addr(i)
-}
-
-//lab:hotpath
-func (s *Simulator) trVal(i int) int64 {
-	if v := s.vw; v != nil {
-		return v.Val[i]
-	}
-	return s.tr.Val(i)
-}
-
-//lab:hotpath
-func (s *Simulator) trProd1(i int) int64 {
-	if v := s.vw; v != nil {
-		return v.Prod1[i]
-	}
-	return s.tr.Prod1(i)
-}
-
-//lab:hotpath
-func (s *Simulator) trProd2(i int) int64 {
-	if v := s.vw; v != nil {
-		return v.Prod2[i]
-	}
-	return s.tr.Prod2(i)
-}
-
-//lab:hotpath
-func (s *Simulator) trTaken(i int) bool {
-	if v := s.vw; v != nil {
-		return v.Taken[i]
-	}
-	return s.tr.Taken(i)
-}
-
-// trFlags returns the entry's static-predicate byte (isa.Inst.Flags); pc
-// must be the entry's static index, already loaded by the caller.
-//
-//lab:hotpath
-func (s *Simulator) trFlags(i int, pc int32) uint8 {
-	if v := s.vw; v != nil {
-		return v.Flags[i]
-	}
-	return s.pcFlags[pc]
-}
-
-// trFlagsAt is trFlags for callers that have not already loaded the
-// entry's PC.
-//
-//lab:hotpath
-func (s *Simulator) trFlagsAt(i int) uint8 {
-	if v := s.vw; v != nil {
-		return v.Flags[i]
-	}
-	return s.pcFlags[s.tr.PC(i)]
-}
-
-// trLat returns the entry's functional-unit latency (isa.Inst.ExecLatency).
-//
-//lab:hotpath
-func (s *Simulator) trLat(i int, pc int32) uint8 {
-	if v := s.vw; v != nil {
-		return v.Lat[i]
-	}
-	return s.pcLats[pc]
-}
+func (s *Simulator) inst(d int32) isa.Inst { return s.prog.Insts[s.tr.PC(int(d))] }
 
 // ---------------------------------------------------------------- commit --
 
@@ -472,13 +362,13 @@ func (s *Simulator) commitStage() int {
 		if s.state[d]&fIssued == 0 || s.completeAt[d] > s.now {
 			break
 		}
-		fl := s.trFlagsAt(int(d))
+		fl := s.pcFlags[s.tr.PC(int(d))]
 		if s.state[d]&fRSFreed == 0 {
 			s.rsUsed--
 			s.state[d] |= fRSFreed
 		}
 		if fl&isa.FlagStore != 0 {
-			addr := s.trAddr(int(d))
+			addr := s.tr.Addr(int(d))
 			s.hier.StoreCommit(addr, s.now)
 			s.memMainAcc++
 			s.inflightSt[addr>>3]--
@@ -543,14 +433,14 @@ func (s *Simulator) ready(prod int64) bool {
 //
 //lab:hotpath
 func (s *Simulator) issueMain(d int32, loadBudget, storeBudget *int) (issued, mshrFull bool) {
-	pc := s.trPC(int(d))
-	fl := s.trFlags(int(d), pc)
+	pc := s.tr.PC(int(d))
+	fl := s.pcFlags[pc]
 	switch {
 	case fl&isa.FlagLoad != 0:
 		if *loadBudget == 0 {
 			return false, false
 		}
-		addr := s.trAddr(int(d))
+		addr := s.tr.Addr(int(d))
 		if s.inflightSt[addr>>3] > 0 {
 			// Store-to-load forwarding through the LSQ.
 			s.completeAt[d] = s.now + int64(s.cfg.Hier.L1D.HitLatency)
@@ -584,7 +474,7 @@ func (s *Simulator) issueMain(d int32, loadBudget, storeBudget *int) (issued, ms
 		s.completeAt[d] = s.now + 1 // address generation
 		*storeBudget--
 	default:
-		lat := int64(s.trLat(int(d), pc))
+		lat := int64(s.pcLats[pc])
 		s.completeAt[d] = s.now + lat
 		if fl&isa.FlagALU != 0 {
 			s.aluMain++
@@ -730,8 +620,8 @@ func (s *Simulator) dispatchStage() bool {
 			break
 		}
 		d := fe.dyn
-		pc := s.trPC(int(d))
-		fl := s.trFlags(int(d), pc)
+		pc := s.tr.PC(int(d))
+		fl := s.pcFlags[pc]
 		if s.robLen >= s.cfg.ROBSize || s.rsUsed >= s.cfg.RSSize {
 			break
 		}
@@ -751,17 +641,13 @@ func (s *Simulator) dispatchStage() bool {
 		s.rsUsed++
 		if fl&isa.FlagHasDst != 0 {
 			s.physUsed++
-			if s.shared == nil {
-				dst := s.prog.Insts[pc].Dst
-				s.specRegs[dst] = s.trVal(int(d))
-				s.lastWriter[dst] = int64(d)
-			}
+			dst := s.prog.Insts[pc].Dst
+			s.specRegs[dst] = s.tr.Val(int(d))
+			s.lastWriter[dst] = int64(d)
 		}
 		if fl&isa.FlagStore != 0 {
-			addr := s.trAddr(int(d))
-			if s.shared == nil {
-				s.mem[addr>>3] = s.trVal(int(d))
-			}
+			addr := s.tr.Addr(int(d))
+			s.mem[addr>>3] = s.tr.Val(int(d))
 			s.inflightSt[addr>>3]++
 		}
 		s.instsMain++
@@ -772,8 +658,8 @@ func (s *Simulator) dispatchStage() bool {
 			// Subscribe to incomplete producers; an instruction with none
 			// enters the ready queue directly (it has the largest dynamic
 			// index in flight, so appending keeps the queue sorted).
-			w1 := s.watch(s.trProd1(int(d)), d)
-			w2 := s.watch(s.trProd2(int(d)), d)
+			w1 := s.watch(s.tr.Prod1(int(d)), d)
+			w2 := s.watch(s.tr.Prod2(int(d)), d)
 			if !w1 && !w2 {
 				s.ev.readyQ = append(s.ev.readyQ, d)
 			}
@@ -827,14 +713,6 @@ func (s *Simulator) spawn(ti int32) {
 	pt := s.pthreads[ti]
 	si := s.statOf[ti]
 	stat := &s.pthStats[si]
-	// A batch instance consumes the next shared spawn record whether or not
-	// the spawn lands: the oracle emits one record per trigger site, and a
-	// drop is per-instance context pressure, not a property of the record.
-	var rec *spawnRec
-	if g := s.shared; g != nil {
-		rec = &g.recs[s.spawnCursor]
-		s.spawnCursor++
-	}
 	var ctx *pctx
 	for c := range s.ctxs {
 		if !s.ctxs[c].active {
@@ -850,14 +728,7 @@ func (s *Simulator) spawn(ti int32) {
 	spawnID := int32(len(s.spawnUseful))
 	s.spawnUseful = append(s.spawnUseful, false)
 	s.spawnStatic = append(s.spawnStatic, si)
-	if rec != nil {
-		ctx.initShared(pt, spawnID, si, s.now, rec, s.shared.masks[ti])
-		if rec.abortAt < len(pt.Body) {
-			stat.Aborted++
-		}
-	} else {
-		ctx.init(pt, spawnID, si, s)
-	}
+	ctx.init(pt, spawnID, si, s)
 	s.liveCtxs++
 	s.res.Spawns++
 	stat.Spawns++
@@ -893,7 +764,7 @@ func (s *Simulator) fetchStage() bool {
 	}
 	// I-cache access for the block containing the next PC. Instruction
 	// addresses live in their own space at 8 bytes per instruction.
-	iaddr := int64(s.trPC(s.fetchIdx)) * 8
+	iaddr := int64(s.tr.PC(s.fetchIdx)) * 8
 	done := s.hier.FetchBlock(iaddr, s.now, false)
 	if done > s.now+int64(s.cfg.Hier.L1I.HitLatency) {
 		s.fetchResumeAt = done // i-cache miss: stall until fill
@@ -905,13 +776,13 @@ func (s *Simulator) fetchStage() bool {
 	}
 	for w := 0; w < width && s.fetchIdx < s.n; w++ {
 		d := int32(s.fetchIdx)
-		pc := s.trPC(s.fetchIdx)
-		fl := s.trFlags(s.fetchIdx, pc)
+		pc := s.tr.PC(s.fetchIdx)
+		fl := s.pcFlags[pc]
 		s.fetchQ[(s.fqHead+s.fqLen)%s.cfg.FetchQCap] = fetchEnt{dyn: d, availAt: s.now + int64(s.cfg.FrontEndDepth)}
 		s.fqLen++
 		s.fetchIdx++
 		if fl&isa.FlagBranch != 0 {
-			taken := s.trTaken(int(d))
+			taken := s.tr.Taken(int(d))
 			pred, btbHit := s.bp.PredictAndUpdate(int64(pc), taken, int64(s.prog.Insts[pc].Target))
 			if pred != taken {
 				s.state[d] |= fMispred

@@ -79,46 +79,26 @@ func (ev *evState) reset(n, robSize int) {
 // completely inert it consults the calendar and every time-based wakeup
 // condition for the earliest cycle anything can happen and jumps there,
 // attributing the skipped span to the same CPI-stack category in bulk.
-func (s *Simulator) runEvent(ctx context.Context) (*Result, error) {
-	if err := s.runEventUntil(ctx, -1); err != nil {
-		return nil, err
-	}
-	s.finalize()
-	return &s.res, nil
-}
-
-// runEventUntil advances the event engine until the run completes or, when
-// stopFetch >= 0, until the main-thread fetch index reaches stopFetch. The
-// pause check sits between cycles (at the top of the loop), and all loop
-// state — current cycle, deadlock watermark, cancellation poll — lives on
-// the Simulator, so a paused run resumed by a later call executes exactly
-// the cycles an uninterrupted run would: segmentation is invisible to the
-// Result. BatchSimulator uses this to advance K instances chunk-window by
-// chunk-window over one streaming pass of the trace columns. The caller
-// owns finalize; a completed run (s.done()) must be finalized exactly once.
 //
 //lab:hotpath
-func (s *Simulator) runEventUntil(ctx context.Context, stopFetch int) error {
+func (s *Simulator) runEvent(ctx context.Context) (*Result, error) {
 	maxCycles := s.maxCycles()
-	lastCommit := s.lastCommit
+	lastCommit := int64(0)
 	ev := s.ev
 	for !s.done() {
-		if stopFetch >= 0 && s.fetchIdx >= stopFetch {
-			break
-		}
 		if s.now >= ev.nextPoll {
 			select {
 			case <-ctx.Done():
-				return ctx.Err()
+				return nil, ctx.Err()
 			default:
 			}
 			ev.nextPoll = s.now + ctxCheckMask + 1
 		}
 		if s.now >= maxCycles {
-			return fmt.Errorf("cpu: exceeded %d cycles (deadlock?)", maxCycles)
+			return nil, fmt.Errorf("cpu: exceeded %d cycles (deadlock?)", maxCycles)
 		}
 		if s.now-lastCommit > noCommitLimit {
-			return fmt.Errorf("cpu: no commit in 1M cycles at cycle %d (deadlock): %s", s.now, s.debugState())
+			return nil, fmt.Errorf("cpu: no commit in 1M cycles at cycle %d (deadlock): %s", s.now, s.debugState())
 		}
 		s.processEvents()
 		committed := s.commitStage()
@@ -149,8 +129,8 @@ func (s *Simulator) runEventUntil(ctx context.Context, stopFetch int) error {
 		}
 		s.now++
 	}
-	s.lastCommit = lastCommit
-	return nil
+	s.finalize()
+	return &s.res, nil
 }
 
 // processEvents delivers every completion due this cycle: main-thread

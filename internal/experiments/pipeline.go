@@ -98,11 +98,8 @@ type stagePlan struct {
 // influence simulated behaviour: the energy parameters are accounting-only
 // (they are read exactly once, after the last cycle, to convert event counts
 // into energy), so baselines are keyed — and simulated — without them.
-// EngineBatched normalizes to the event engine it denotes per instance, so
-// batched sweep points share cached baselines with their serial twins.
 func timingConfig(c cpu.Config) cpu.Config {
 	c.Energy = energy.Params{}
-	c.Engine = normalizeEngine(c.Engine)
 	return c
 }
 

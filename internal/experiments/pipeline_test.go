@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/program"
 )
 
@@ -206,6 +207,33 @@ func TestValidateNames(t *testing.T) {
 	for _, want := range []string{"nonesuch", "alsonot", "duplicated", "gap", "vpr.route"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q missing %q", err, want)
+		}
+	}
+}
+
+// TestUnknownEngineFailsFast pins the typed-engine check at the experiments
+// layer: an out-of-enum engine, including the removed "batched" engine, is
+// rejected with one error listing the valid engines, before any stage
+// executes.
+func TestUnknownEngineFailsFast(t *testing.T) {
+	for _, name := range []cpu.Engine{"bogus", "batched"} {
+		cfg := DefaultConfig()
+		cfg.CPU.Engine = name
+		r := NewRunner(cfg, 1, nil)
+		_, err := r.Prepare(context.Background(), "gap", cfg.MeasureInput, cfg)
+		if err == nil {
+			t.Fatalf("Prepare accepted engine %q", name)
+		}
+		for _, wantSub := range []string{string(name), "valid engines: event, scan)"} {
+			if !strings.Contains(err.Error(), wantSub) {
+				t.Errorf("error %q missing %q", err, wantSub)
+			}
+		}
+		if n := r.StagePrepares(StagePrepared); n != 0 {
+			t.Errorf("engine %q still assembled %d preparations", name, n)
+		}
+		if _, err := PrepareTrace(context.Background(), "x", nil, cfg); err == nil {
+			t.Errorf("PrepareTrace accepted engine %q", name)
 		}
 	}
 }

@@ -346,17 +346,6 @@ type SweepPointReport struct {
 	Workload string   `json:",omitempty"`
 	Labels   []string `json:",omitempty"` // one per axis; empty for the base point
 	Runs     []RunReport
-
-	// Batched reports that at least one of this point's target runs was
-	// measured through the shared-cursor batched engine (see
-	// Runner.SetBatchWidth); BatchWidth is the configured batch width the
-	// sweep scheduled with, not the realized size of any one batch (a
-	// trace's last partial batch can be narrower, and its singletons fall
-	// back to the serial path). Batched results are bit-identical to serial
-	// runs, so these fields are scheduling provenance, not a result
-	// dimension; serial sweeps omit them.
-	Batched    bool `json:",omitempty"`
-	BatchWidth int  `json:",omitempty"`
 }
 
 // benchLabel is the bench-column display name: the workload label when the

@@ -93,16 +93,10 @@ type Runner struct {
 	parallelism int
 	observe     func(Event)
 
-	// batchWidth is the sweep batching knob (see SetBatchWidth): at >= 2,
-	// Sweep measures event-engine points through cpu.BatchSimulator in
-	// groups of up to batchWidth sharing one trace pass. It is scheduling
-	// state, deliberately outside Config so it never reaches a fingerprint.
-	batchWidth int
-
 	// sched enables cost-modeled critical-path scheduling of sweeps and
-	// campaigns (the default; see SetScheduling). Like batchWidth it is
-	// scheduling state, never part of a fingerprint: toggling it changes
-	// build order, not results.
+	// campaigns (the default; see SetScheduling). It is scheduling state,
+	// deliberately outside Config so it never reaches a fingerprint:
+	// toggling it changes build order, not results.
 	sched bool
 
 	// mappedSpill enables the zero-copy mmap trace-spill path (the
@@ -160,26 +154,12 @@ func NewRunner(cfg Config, parallelism int, observe func(Event)) *Runner {
 // Config returns the engine's base configuration.
 func (r *Runner) Config() Config { return r.cfg }
 
-// DefaultBatchWidth is the batch width a sweep uses when the base
-// configuration selects cpu.EngineBatched without an explicit width.
-const DefaultBatchWidth = 4
-
-// SetBatchWidth sets the sweep batch width: k >= 2 makes Sweep advance up
-// to k event-engine grid points per shared trace pass (bit-identical to
-// serial runs; see Runner.Sweep), k <= 1 restores the serial path. Batch
-// width is a scheduling property, not a configuration input: it never
-// enters an artifact fingerprint, so toggling it shares every cached
-// stage with serial runs. Call it before issuing work; it is not
-// synchronized with in-flight sweeps.
-func (r *Runner) SetBatchWidth(k int) { r.batchWidth = k }
-
 // SetScheduling toggles cost-modeled critical-path scheduling of sweep and
 // campaign fan-out (enabled by default). Disabled, workers claim work in
 // naive bench-major grid order — the baseline the scheduling benchmark
-// gates against. Like batch width it is scheduling state, not
-// configuration: results are byte-identical either way, only build order
-// and wall-clock change. Call before issuing work; it is not synchronized
-// with in-flight sweeps.
+// gates against. It is scheduling state, not configuration: results are
+// byte-identical either way, only build order and wall-clock change. Call
+// before issuing work; it is not synchronized with in-flight sweeps.
 func (r *Runner) SetScheduling(enabled bool) { r.sched = enabled }
 
 // SetMappedSpill toggles the zero-copy mmap path for trace spill loads

@@ -16,8 +16,8 @@ import (
 // TestTraceVariantEnginesIdentical is the differential identity gate for the
 // spill format bump: for every paper benchmark and every generated corpus
 // workload, the fresh in-memory trace, its v1 decode, its v2 heap decode and
-// its zero-copy mapped view must all drive every engine (event, scan,
-// batched) to byte-identical Result JSON. Any representation leak in the
+// its zero-copy mapped view must all drive both engines (event, scan) to
+// byte-identical Result JSON. Any representation leak in the
 // mapped columns — aliasing, padding, the filled-length trailer — shows up
 // here as a diverging simulation.
 func TestTraceVariantEnginesIdentical(t *testing.T) {
@@ -99,7 +99,6 @@ func TestTraceVariantEnginesIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			bs := cpu.NewBatchSimulator()
 			for _, v := range variants {
 				for _, eng := range []cpu.Engine{cpu.EngineEvent, cpu.EngineScan} {
 					c := cfg.CPU
@@ -114,28 +113,6 @@ func TestTraceVariantEnginesIdentical(t *testing.T) {
 					}
 					if !bytes.Equal(got, want) {
 						t.Errorf("%s via %q engine diverges from fresh/event", v.name, eng)
-					}
-				}
-				// Batched engine, width 2, both slots over this variant.
-				cfgs := []cpu.Config{cfg.CPU, cfg.CPU}
-				pthreads := [][]*cpu.PThread{wl.pts, wl.pts}
-				if err := bs.Reset(cfgs, v.tr, pthreads); err != nil {
-					t.Fatalf("%s/batched: reset: %v", v.name, err)
-				}
-				results, errs, err := bs.RunContext(ctx)
-				if err != nil {
-					t.Fatalf("%s/batched: run: %v", v.name, err)
-				}
-				for i, res := range results {
-					if errs[i] != nil {
-						t.Fatalf("%s/batched slot %d: %v", v.name, i, errs[i])
-					}
-					got, err := json.Marshal(res)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, want) {
-						t.Errorf("%s via batched engine slot %d diverges from fresh/event", v.name, i)
 					}
 				}
 			}

@@ -45,17 +45,12 @@ type Config struct {
 	MaxStoreBytes int64
 	// Parallelism bounds the engine's worker pool (<= 0: GOMAXPROCS).
 	Parallelism int
-	// Engine names the simulation engine for every job ("", "event",
-	// "scan" or "batched"); unknown names are rejected by New with one
-	// error listing the valid engines. Engine choice is the daemon
-	// operator's, not the submitting client's, so every job shares the
-	// engine's cached artifacts.
+	// Engine names the simulation engine for every job ("", "event" or
+	// "scan"); unknown names are rejected by New with one error listing
+	// the valid engines. Engine choice is the daemon operator's, not the
+	// submitting client's, so every job shares the engine's cached
+	// artifacts.
 	Engine string
-	// BatchWidth is the sweep batch width k: with k >= 2 (or the batched
-	// engine's default width), same-trace measurements of a job ride
-	// shared streaming passes in batches of up to k. Scheduling only —
-	// results and artifact fingerprints are identical to serial runs.
-	BatchWidth int
 	// DisableMappedSpill turns off the zero-copy mmap path for warm trace
 	// loads (cmd/labd's -mmap=false). The zero value keeps the default:
 	// mapped spill on, falling back to heap decode where mmap is
@@ -146,7 +141,6 @@ func New(cfg Config) (*Server, error) {
 	s.lab = preexec.New(
 		preexec.WithConfig(labCfg),
 		preexec.WithParallelism(cfg.Parallelism),
-		preexec.WithBatchWidth(cfg.BatchWidth),
 		preexec.WithObserver(s.observe),
 		preexec.WithDiskStore(cfg.Dir, cfg.MaxStoreBytes),
 		preexec.WithMappedSpill(!cfg.DisableMappedSpill),
@@ -319,10 +313,20 @@ func buildGrid(req labapi.SweepRequest) (preexec.Grid, error) {
 	return g, nil
 }
 
+// maxSweepBody caps a POST /v1/sweep request body. A real grid request is a
+// few hundred bytes; the cap only stops one client from making the daemon
+// buffer an arbitrarily large body.
+const maxSweepBody = 1 << 20
+
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req labapi.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	grid, err := buildGrid(req)

@@ -4,9 +4,9 @@ package gen
 // matrix of knob settings, ≥20 specs in total, kept small enough that a
 // simulation engine covers the whole corpus in seconds. It is the shared
 // pinning set for engine differentials — event vs. the reference scan
-// (TestGenCorpusEnginesAgree) and batched vs. serial
-// (TestBatchedMatchesSerial) — so every engine variant is held to the same
-// corpus.
+// (TestGenCorpusEnginesAgree) and fresh vs. decoded vs. mapped traces
+// (TestTraceVariantEnginesIdentical) — so every engine and trace variant is
+// held to the same corpus.
 func CorpusSpecs() []Spec {
 	var specs []Spec
 	for fi, f := range Families() {

@@ -53,8 +53,7 @@
 // swept knob rebuilds only the stages that read it); StoreStats snapshots
 // every stage's request outcomes (cold, cached, shared in-flight, disk
 // load) plus the disk tier's counters; DiskStoreErr reports whether a
-// requested disk store opened. Prepares, the original whole-preparation
-// counter, is deprecated in favor of StagePrepares(StagePrepared).
+// requested disk store opened.
 //
 // # Migration from the pre-Lab API
 //
@@ -100,7 +99,7 @@ type (
 	// selection framework.
 	Config = experiments.Config
 	// Engine selects the simulation engine (Config.CPU.Engine); see the
-	// EngineEvent, EngineScan and EngineBatched constants and ParseEngine.
+	// EngineEvent and EngineScan constants and ParseEngine.
 	Engine = cpu.Engine
 	// Target selects the optimization objective (latency, energy, ED, ED²).
 	Target = pthsel.Target
@@ -213,18 +212,14 @@ const (
 
 // Simulation engines. EngineEvent (the zero value) is the event-driven
 // production engine; EngineScan is the bit-identical every-cycle reference
-// engine; EngineBatched runs event-driven semantics and additionally opts
-// sweeps into batched scheduling at the default batch width (see
-// WithBatchWidth) — a single run under EngineBatched is exactly an
-// EngineEvent run.
+// engine.
 const (
-	EngineEvent   = cpu.EngineEvent
-	EngineScan    = cpu.EngineScan
-	EngineBatched = cpu.EngineBatched
+	EngineEvent = cpu.EngineEvent
+	EngineScan  = cpu.EngineScan
 )
 
 // ParseEngine parses an engine name as used by cmd/sweep's and cmd/labd's
-// -engine flags: "event" (or the empty string), "scan" or "batched".
+// -engine flags: "event" (or the empty string) or "scan".
 // Unknown names produce one error listing the valid engines.
 func ParseEngine(s string) (Engine, error) { return cpu.ParseEngine(s) }
 
@@ -341,18 +336,6 @@ func WithParallelism(n int) Option { return func(l *Lab) { l.parallelism = n } }
 // serialized (never concurrently) but from worker goroutines.
 func WithObserver(fn func(Event)) Option { return func(l *Lab) { l.observe = fn } }
 
-// WithBatchWidth sets the engine's sweep batch width: with k >= 2, sweep
-// measurements whose grid points resolved to identical prepared artifacts
-// (the same trace) are partitioned into batches of up to k and advanced
-// through one shared streaming pass over the trace's column chunks instead
-// of k separate passes. Batched results are bit-identical to serial runs;
-// points measured this way carry Batched/BatchWidth in the sweep report.
-// k <= 1 keeps every measurement serial, as do reference scan-engine
-// points. Batch width is scheduling state, not configuration — it never
-// enters artifact fingerprints, so batched and serial sweeps share every
-// cached stage.
-func WithBatchWidth(k int) Option { return func(l *Lab) { l.batchWidth = k } }
-
 // WithScheduling toggles cost-modeled critical-path scheduling of sweep and
 // campaign fan-out (default: enabled). Enabled, the engine expands every
 // pending (benchmark × stage) chain into a dependency DAG before fanning
@@ -362,8 +345,7 @@ func WithBatchWidth(k int) Option { return func(l *Lab) { l.batchWidth = k } }
 // grid will need ahead of the first point that demands them. Disabled,
 // workers claim points in naive bench-major grid order. Results and report
 // row order are byte-identical either way; only build order and cold-sweep
-// wall-clock change. Like batch width, scheduling is never part of an
-// artifact fingerprint.
+// wall-clock change. Scheduling is never part of an artifact fingerprint.
 func WithScheduling(enabled bool) Option { return func(l *Lab) { l.scheduling = &enabled } }
 
 // WithMappedSpill toggles the zero-copy mmap path for warm trace loads
@@ -374,8 +356,7 @@ func WithScheduling(enabled bool) Option { return func(l *Lab) { l.scheduling = 
 // one page-cache copy. Disabled — or on platforms without mmap — warm
 // trace loads fall back to the chunk-parallel v2 heap decode (still ahead
 // of the serial v1 path). Results are byte-identical either way; like
-// batch width and scheduling, the switch never enters an artifact
-// fingerprint.
+// scheduling, the switch never enters an artifact fingerprint.
 func WithMappedSpill(enabled bool) Option { return func(l *Lab) { l.mappedSpill = &enabled } }
 
 // WithDiskStore attaches an on-disk content-addressed spill tier at dir
@@ -411,7 +392,6 @@ type Lab struct {
 	cfg         Config
 	parallelism int
 	observe     func(Event)
-	batchWidth  int
 	scheduling  *bool // nil: default (enabled)
 	mappedSpill *bool // nil: default (enabled)
 	run         *experiments.Runner
@@ -433,7 +413,6 @@ func New(opts ...Option) *Lab {
 	}
 	l.cfgErr = experiments.ValidateEngine(l.cfg.CPU.Engine)
 	l.run = experiments.NewRunner(l.cfg, l.parallelism, l.observe)
-	l.run.SetBatchWidth(l.batchWidth)
 	if l.scheduling != nil {
 		l.run.SetScheduling(*l.scheduling)
 	}
@@ -461,19 +440,9 @@ func (l *Lab) DiskStoreErr() error { return l.diskErr }
 // Config returns the engine's configuration.
 func (l *Lab) Config() Config { return l.cfg }
 
-// Prepares reports how many whole-config preparations the engine has
-// assembled cold; the artifact store keeps it at one per (benchmark, input,
-// configuration) regardless of how many figures run. Sweep points count one
-// each even when every underlying pipeline stage was cached.
-//
-// Deprecated: Prepares is StagePrepares(StagePrepared) by definition; use
-// StagePrepares, which generalizes it to every pipeline stage and observes
-// the per-stage reuse beneath whole preparations.
-func (l *Lab) Prepares() int64 { return l.run.StagePrepares(experiments.StagePrepared) }
-
 // StagePrepares reports how many cold executions of one preparation
-// pipeline stage the engine has performed (generalizing Prepares, which
-// equals StagePrepares(StagePrepared)). It is the observable behind the
+// pipeline stage the engine has performed; StagePrepared counts whole-config
+// assemblies. It is the observable behind the
 // per-stage reuse guarantee: a mutated knob re-fingerprints only the
 // stages that read it, so a 3-point sweep along an axis a stage never
 // looks at (e.g. idle factor or memory latency for trace/profile/slices)
@@ -658,11 +627,6 @@ func (l *Lab) ED2Study(ctx context.Context, names []string) (*ED2Report, error) 
 // performs one trace, one profile and one slice-tree build per benchmark,
 // not three. Per-point progress is streamed to the observer as
 // EventPointDone events.
-//
-// With a batch width installed (WithBatchWidth, or EngineBatched in the
-// configuration), measurements sharing one prepared trace additionally ride
-// shared streaming passes in batches of up to k, bit-identical to serial
-// evaluation; such points carry Batched/BatchWidth in the report.
 //
 //	rep, err := lab.Sweep(ctx, preexec.Grid{
 //	        Axes:       []preexec.Axis{preexec.GridAxis(preexec.SweepIdleFactor), preexec.GridAxis(preexec.SweepMemLatency)},
