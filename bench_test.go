@@ -251,46 +251,6 @@ func BenchmarkSweepGrid(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepSched compares a cold multi-axis sweep under naive
-// bench-major scheduling against the critical-path scheduler on the same
-// grid: five benchmarks × all three sensitivity axes (27 points each),
-// measured under the L target with a fixed 8-worker pool. The two sides run
-// back to back on interleaved timers within each iteration, so
-// machine-speed drift cancels out of the reported sweep-sched-gain ratio
-// (naive / scheduled wall-clock; > 1 means the scheduler wins).
-// cmd/benchgate gates that ratio at no worse than naive. Each side uses a fresh Lab (cold store, cost model at
-// priors), so the gain measured is pure ordering: starting the grid's long
-// trace → profile → slices chains first and pre-building shared stages on
-// idle workers instead of convoying every worker behind grid-order
-// singleflight waits. The win requires real parallelism — on a single-core
-// machine every order costs total-work time and the ratio sits at ~1.0 —
-// which is why the committed benchgate floor carries a small noise margin.
-func BenchmarkSweepSched(b *testing.B) {
-	ctx := context.Background()
-	grid := Grid{
-		Axes: []Axis{GridAxis(SweepIdleFactor), GridAxis(SweepMemLatency),
-			GridAxis(SweepL2Size)},
-		Benchmarks: []string{"gap", "mcf", "parser", "twolf", "vortex"},
-		Targets:    []Target{TargetL},
-	}
-	var naive, sched time.Duration
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		if _, err := New(WithParallelism(8), WithScheduling(false)).Sweep(ctx, grid); err != nil {
-			b.Fatal(err)
-		}
-		naive += time.Since(start)
-		start = time.Now()
-		if _, err := New(WithParallelism(8), WithScheduling(true)).Sweep(ctx, grid); err != nil {
-			b.Fatal(err)
-		}
-		sched += time.Since(start)
-	}
-	b.ReportMetric(naive.Seconds()/float64(b.N), "sweep-cold-naive-sec")
-	b.ReportMetric(sched.Seconds()/float64(b.N), "sweep-cold-sched-sec")
-	b.ReportMetric(naive.Seconds()/sched.Seconds(), "sweep-sched-gain")
-}
-
 // BenchmarkED2Target reproduces the §5.1 ED² discussion (P2 ≈ L; both
 // improve ED² strongly).
 func BenchmarkED2Target(b *testing.B) {

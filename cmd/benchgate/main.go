@@ -15,11 +15,6 @@
 //     (trace/profile/slice-tree executions) than the baseline's
 //     MaxWarmGridStageBuilds (0 since the staged-pipeline tentpole: warm
 //     sweep points reuse every cached upstream artifact), and
-//   - the critical-path scheduler's paired cold-sweep gain on the 3-axis
-//     grid (BenchmarkSweepSched, naive and scheduled sides interleaved per
-//     iteration so machine-speed drift cancels out of the ratio) must stay at or above the baseline's MinSweepSchedGain
-//     (machine-independent; 1.0 = scheduling must never lose to naive
-//     grid order), and
 //   - the mapped trace-spill load (BenchmarkTraceSpill, v1 heap decode and
 //     mapped open+verify interleaved per iteration so drift cancels) must
 //     stay at or above the baseline's MinSpillMapGain over the v1 path
@@ -74,16 +69,6 @@ type Report struct {
 	SweepWarmSec        float64
 	ColdGridStageBuilds float64
 	WarmGridStageBuilds float64
-
-	// Scheduler columns (BenchmarkSweepSched): seconds per cold 3-axis
-	// 27-point sweep over three benchmarks under naive bench-major order
-	// vs the critical-path scheduler, paired on interleaved timers within
-	// each iteration so machine drift cancels out of SweepSchedGain
-	// (naive / scheduled; > 1 means the scheduler wins). The gain ratio is
-	// the gated column: the scheduler must never be slower than naive.
-	SweepColdNaiveSec float64
-	SweepColdSchedSec float64
-	SweepSchedGain    float64
 }
 
 // Baseline is the committed gate (testdata/bench_baseline.json).
@@ -103,10 +88,6 @@ type Baseline struct {
 	// (machine-independent; 0 = warm sweep points must reuse every cached
 	// upstream artifact — the staged-pipeline contract).
 	MaxWarmGridStageBuilds float64
-	// MinSweepSchedGain is the required paired naive/scheduled cold-sweep
-	// wall-clock ratio (machine-independent; 1.0 = the critical-path
-	// scheduler must be no worse than naive grid order on the 3-axis grid).
-	MinSweepSchedGain float64
 	// MinSpillMapGain is the required paired v1-decode/mapped-open ratio for
 	// warm trace spill loads (machine-independent; the zero-copy mapped path
 	// must load the paper suite's traces at least this much faster than the
@@ -161,24 +142,9 @@ func main() {
 		fatal("missing warm sweep grid benchmark output (BenchmarkSweepGrid/warm)")
 	}
 
-	// The scheduler comparison is paired: naive and scheduled cold sweeps of
-	// the same 3-axis grid interleave within each iteration, so the gain
+	// The spill comparison pairs its two sides per iteration, so the gain
 	// ratio is robust to drift; best-of over repeats, because a single
 	// sample's ratio carries per-run noise the pairing cannot cancel.
-	sched, err := runBench("BenchmarkSweepSched", "1x", 3)
-	if err != nil {
-		fatal("sweep scheduler benchmark: %v", err)
-	}
-	ss := sched["BenchmarkSweepSched"]
-	rep.SweepColdNaiveSec = ss.sweepNaiveSec
-	rep.SweepColdSchedSec = ss.sweepSchedSec
-	rep.SweepSchedGain = ss.sweepSchedGain
-	if rep.SweepSchedGain <= 0 {
-		fatal("missing sweep-sched-gain metric in scheduler benchmark output")
-	}
-
-	// The spill comparison pairs its two sides per iteration like the
-	// scheduler gate; best-of over repeats for the same reason.
 	spill, err := runBench("BenchmarkTraceSpill", "10x", 3)
 	if err != nil {
 		fatal("trace spill benchmark: %v", err)
@@ -200,8 +166,6 @@ func main() {
 		rep.EventCyclesPerSec, rep.EventAllocsPerOp, rep.EventBytesPerOp, rep.ScanCyclesPerSec, rep.Speedup)
 	fmt.Printf("benchgate: sweep grid cold %.2fs (%.0f stage builds), warm %.2fs (%.0f stage builds)\n",
 		rep.SweepColdSec, rep.ColdGridStageBuilds, rep.SweepWarmSec, rep.WarmGridStageBuilds)
-	fmt.Printf("benchgate: 3-axis cold sweep naive %.2fs, scheduled %.2fs, paired gain %.2fx\n",
-		rep.SweepColdNaiveSec, rep.SweepColdSchedSec, rep.SweepSchedGain)
 	fmt.Printf("benchgate: trace spill v1 decode %.4fs, mapped open %.4fs, paired gain %.2fx\n",
 		rep.TraceSpillLoadSec, rep.TraceSpillMapSec, rep.SpillMapGain)
 
@@ -212,7 +176,6 @@ func main() {
 			MaxEventAllocsPerOp:    rep.EventAllocsPerOp,
 			MaxEventBytesPerOp:     rep.EventBytesPerOp,
 			MaxWarmGridStageBuilds: rep.WarmGridStageBuilds,
-			MinSweepSchedGain:      1.0,
 			MinSpillMapGain:        5.0,
 			Note:                   "measured by cmd/benchgate -update; scale EventCyclesPerSec down for heterogeneous CI runners (see EXPERIMENTS.md)",
 		}
@@ -259,25 +222,18 @@ func main() {
 		fatal("stage-reuse regression: warm sweep grid performed %.0f heavy stage builds > allowed %.0f (warm points must reuse cached trace/profile/slices)",
 			rep.WarmGridStageBuilds, base.MaxWarmGridStageBuilds)
 	}
-	if base.MinSweepSchedGain > 0 && rep.SweepSchedGain < base.MinSweepSchedGain {
-		fatal("scheduler regression: paired cold-sweep gain %.2fx < required %.2fx (critical-path scheduling must be no worse than naive grid order)",
-			rep.SweepSchedGain, base.MinSweepSchedGain)
-	}
 	if base.MinSpillMapGain > 0 && rep.SpillMapGain < base.MinSpillMapGain {
 		fatal("spill regression: paired mapped trace-load gain %.2fx < required %.2fx (the zero-copy mapped path must beat the v1 heap decode)",
 			rep.SpillMapGain, base.MinSpillMapGain)
 	}
-	fmt.Printf("benchgate: PASS (floor %.0f sim-cycles/s, min speedup %.2fx, max %.0f allocs/op, max %.0f warm grid stage builds, min sched gain %.2fx, min spill map gain %.2fx)\n",
-		floor, base.MinSpeedup, base.MaxEventAllocsPerOp, base.MaxWarmGridStageBuilds, base.MinSweepSchedGain, base.MinSpillMapGain)
+	fmt.Printf("benchgate: PASS (floor %.0f sim-cycles/s, min speedup %.2fx, max %.0f allocs/op, max %.0f warm grid stage builds, min spill map gain %.2fx)\n",
+		floor, base.MinSpeedup, base.MaxEventAllocsPerOp, base.MaxWarmGridStageBuilds, base.MinSpillMapGain)
 }
 
 type benchLine struct {
 	nsPerOp         float64
 	metric          float64 // the benchmark's custom sim-cycles/s metric, if reported
 	gridStageBuilds float64 // BenchmarkSweepGrid's grid-stage-builds metric
-	sweepNaiveSec   float64 // BenchmarkSweepSched's sweep-cold-naive-sec metric
-	sweepSchedSec   float64 // BenchmarkSweepSched's sweep-cold-sched-sec metric
-	sweepSchedGain  float64 // BenchmarkSweepSched's paired sweep-sched-gain ratio
 	spillLoadSec    float64 // BenchmarkTraceSpill's trace-spill-load-sec metric
 	spillMapSec     float64 // BenchmarkTraceSpill's trace-spill-map-sec metric
 	spillMapGain    float64 // BenchmarkTraceSpill's paired spill-map-gain ratio
@@ -322,12 +278,6 @@ func runBench(pattern, benchtime string, count int) (map[string]benchLine, error
 				bl.metric = v
 			case "grid-stage-builds":
 				bl.gridStageBuilds = v
-			case "sweep-cold-naive-sec":
-				bl.sweepNaiveSec = v
-			case "sweep-cold-sched-sec":
-				bl.sweepSchedSec = v
-			case "sweep-sched-gain":
-				bl.sweepSchedGain = v
 			case "trace-spill-load-sec":
 				bl.spillLoadSec = v
 			case "trace-spill-map-sec":
@@ -346,9 +296,6 @@ func runBench(pattern, benchtime string, count int) (map[string]benchLine, error
 			bl.allocsPerOp = max(bl.allocsPerOp, prev.allocsPerOp)
 			bl.bytesPerOp = max(bl.bytesPerOp, prev.bytesPerOp)
 			bl.gridStageBuilds = max(bl.gridStageBuilds, prev.gridStageBuilds)
-			bl.sweepNaiveSec = min(bl.sweepNaiveSec, prev.sweepNaiveSec)
-			bl.sweepSchedSec = min(bl.sweepSchedSec, prev.sweepSchedSec)
-			bl.sweepSchedGain = max(bl.sweepSchedGain, prev.sweepSchedGain)
 			bl.spillLoadSec = min(bl.spillLoadSec, prev.spillLoadSec)
 			bl.spillMapSec = min(bl.spillMapSec, prev.spillMapSec)
 			bl.spillMapGain = max(bl.spillMapGain, prev.spillMapGain)

@@ -14,14 +14,14 @@
 //	report -table 3        # the validation table
 //	report -json           # machine-readable JSON stream, one object per artifact
 //	report -render f.json  # render a saved artifact stream ("-" = stdin)
-//	report -dag idle,mem   # Graphviz DOT of the sweep grid's stage schedule
+//	report -dag idle,mem   # Graphviz DOT of the sweep grid's stage DAG
 //	report -v              # engine progress on stderr
 //
 // The -dag mode plans instead of runs: it expands the named sensitivity
-// axes over the paper benchmarks into the stage dependency DAG the
-// critical-path scheduler would execute, annotated with projected costs and
-// cold/cached/spill status, and prints it as Graphviz DOT
-// (pipe to `dot -Tsvg` to visualize).
+// axes over the paper benchmarks into the stage dependency DAG — stage
+// nodes deduplicated across grid points, one measurement sink per point,
+// each annotated with its cold/cached/spill status — and prints it as
+// Graphviz DOT (pipe to `dot -Tsvg` to visualize).
 //
 // The -render mode closes the round trip: any artifact stream this command
 // (or cmd/sweep -json) emitted renders back to the exact tables a live run
@@ -55,7 +55,7 @@ func main() {
 	table := flag.Int("table", 0, "regenerate one table (3); 0 = all")
 	asJSON := flag.Bool("json", false, "emit JSON artifacts instead of rendered tables")
 	renderPath := flag.String("render", "", "render a saved JSON artifact stream instead of recomputing (\"-\" = stdin)")
-	dagAxes := flag.String("dag", "", "print the stage-schedule DAG for a sweep over these axes (comma-separated, e.g. \"idle,mem\") as Graphviz DOT, without running it")
+	dagAxes := flag.String("dag", "", "print the stage DAG for a sweep over these axes (comma-separated, e.g. \"idle,mem\") as Graphviz DOT, without running it")
 	verbose := flag.Bool("v", false, "log engine progress events to stderr")
 	flag.Parse()
 
@@ -137,7 +137,7 @@ func main() {
 }
 
 // printDAG plans a sweep grid over the named sensitivity axes for the paper
-// benchmarks and prints the critical-path scheduler's stage DAG as DOT.
+// benchmarks and prints its stage DAG as DOT.
 func printDAG(axes string) error {
 	g := preexec.Grid{Benchmarks: preexec.PaperBenchmarks()}
 	for _, name := range strings.Split(axes, ",") {

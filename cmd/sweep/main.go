@@ -12,10 +12,9 @@
 //	sweep -axis mem -json                   # machine-readable artifact
 //	                                        # (render with: report -render -)
 //
-// Local sweeps order their work through the cost-modeled critical-path
-// scheduler by default; -sched=false falls back to naive bench-major grid
-// order (identical results and report, different build order). To inspect
-// the planned schedule without running it, see `report -dag`.
+// Local sweeps fan out bench-major on the bounded worker pool (-j). To
+// inspect the grid's planned stage DAG without running it, see
+// `report -dag`.
 //
 // Generated workloads join the sweep through the repeatable -gen flag,
 // taking the generator spec grammar family:seed[:knob=value,...]. With -gen
@@ -64,7 +63,6 @@ type cli struct {
 	targetNames []string
 	engine      preexec.Engine
 	parallelism int
-	sched       bool
 	asJSON      bool
 	addr        string
 }
@@ -82,7 +80,6 @@ func parseCLI(args []string) (*cli, error) {
 	targetNames := fs.String("targets", "", "comma-separated selection targets (default: L,E,P)")
 	engineName := fs.String("engine", "", "simulation engine: event or scan (local sweeps; a daemon uses its own -engine)")
 	fs.IntVar(&c.parallelism, "j", 0, "worker-pool bound (0 = GOMAXPROCS)")
-	fs.BoolVar(&c.sched, "sched", true, "cost-modeled critical-path scheduling of the grid's stage DAG (local sweeps; false = naive grid order, identical results)")
 	fs.BoolVar(&c.asJSON, "json", false, "emit the JSON artifact instead of the rendered table")
 	fs.StringVar(&c.addr, "addr", "", "submit to a lab daemon at this base URL instead of sweeping locally")
 	fs.Func("gen", "generated workload spec family:seed[:knob=value,...] (repeatable)", func(text string) error {
@@ -166,7 +163,6 @@ func main() {
 	lab := preexec.New(
 		preexec.WithConfig(cfg),
 		preexec.WithParallelism(c.parallelism),
-		preexec.WithScheduling(c.sched),
 		preexec.WithObserver(func(ev preexec.Event) {
 			switch ev.Kind {
 			case preexec.EventStageStart:

@@ -68,7 +68,10 @@ func stripWallClock(rep *CampaignReport) {
 // TestCampaignDeterministicAcrossParallelism runs the same campaign on a
 // serial engine and on an 8-wide worker pool: every simulated number must be
 // byte-identical (each benchmark simulates single-threaded; the pool only
-// reorders whole benchmarks, and reports are assembled in input order).
+// reorders whole benchmarks, and reports are assembled in input order). A
+// two-axis sweep gets the same check at parallelism 1 vs 4, plus equal cold
+// builds per stage: the pool may reorder grid points, never add or drop
+// stage work.
 func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 	ctx := context.Background()
 	names := PaperBenchmarks()[:4]
@@ -92,6 +95,34 @@ func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 	wide := campaign(8)
 	if !bytes.Equal(serial, wide) {
 		t.Errorf("campaign JSON differs between WithParallelism(1) and WithParallelism(8)\nserial: %s\nwide:   %s", serial, wide)
+	}
+
+	grid := Grid{
+		Axes:       []Axis{GridAxis(SweepIdleFactor), GridAxis(SweepMemLatency)},
+		Benchmarks: []string{"gap", "twolf"},
+		Targets:    []Target{TargetL},
+	}
+	sweep := func(par int) ([]byte, *Lab) {
+		lab := New(WithParallelism(par))
+		rep, err := lab.Sweep(ctx, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(stripSweepThroughput(rep))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw, lab
+	}
+	serialSweep, serialLab := sweep(1)
+	wideSweep, wideLab := sweep(4)
+	if !bytes.Equal(serialSweep, wideSweep) {
+		t.Errorf("sweep JSON differs between WithParallelism(1) and WithParallelism(4)\nserial: %s\nwide:   %s", serialSweep, wideSweep)
+	}
+	for _, st := range Stages() {
+		if s, w := serialLab.StagePrepares(st), wideLab.StagePrepares(st); s != w {
+			t.Errorf("StagePrepares(%s): serial %d, 4-wide %d", st, s, w)
+		}
 	}
 }
 

@@ -365,9 +365,9 @@ func (m *Mapping) Close() error {
 func MapSupported() bool { return mmapSupported }
 
 // Has reports whether an artifact is resident under k, without touching its
-// recency or counting a load or miss. It is a scheduling probe — the
-// critical-path planner uses it to cost a stage as a disk load rather than
-// a rebuild — so it must not perturb the LRU order the way Load does.
+// recency or counting a load or miss. It is a planning probe — the stage
+// DAG export uses it to mark a stage as a disk load rather than a rebuild —
+// so it must not perturb the LRU order the way Load does.
 func (s *Store) Has(k Key) bool {
 	path := s.pathFor(k)
 	s.mu.Lock()

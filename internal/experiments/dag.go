@@ -1,17 +1,28 @@
 package experiments
 
-// DAG export: the scheduled stage DAG as a structured report plus a
-// Graphviz DOT rendering, served by `report -dag` and the daemon's
-// GET /v1/jobs/{id}/dag. The export is a plan — it annotates each node with
-// its projected cost, remaining critical-path cost and cold/cached/spill
-// status at planning time — and never executes anything.
+// DAG export: a sweep grid's stage dependency DAG as a structured report
+// plus a Graphviz DOT rendering, served by `report -dag` and the daemon's
+// GET /v1/jobs/{id}/dag. The export is a plan — stage nodes deduplicated
+// across grid points by artifact key, one measurement sink per grid point,
+// every node annotated with its cold/cached/spill status at planning time —
+// and never executes anything.
 
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/program"
 )
 
-// DAGNode is one node of an exported schedule DAG: a stage build for one
+// DAG node statuses.
+const (
+	dagCold    = "cold"    // the stage would execute
+	dagCached  = "cached"  // already complete in the in-memory store
+	dagSpill   = "spill"   // resident in the disk tier; a load, not a build
+	dagMeasure = "measure" // a measurement sink (one grid point)
+)
+
+// DAGNode is one node of an exported stage DAG: a stage build for one
 // workload, or a measurement sink for one grid point.
 type DAGNode struct {
 	Bench string `json:"bench"`
@@ -19,12 +30,8 @@ type DAGNode struct {
 	Stage string `json:"stage"`
 	// Point carries the grid-point label on measurement sinks.
 	Point string `json:"point,omitempty"`
-	// Status is cold, cached, spill or measure (see the sched* constants).
+	// Status is cold, cached, spill or measure (see the dag* constants).
 	Status string `json:"status"`
-	// CostSec is the node's own projected cost; CriticalSec adds the
-	// costliest chain of dependents below it — the scheduling priority.
-	CostSec     float64 `json:"cost_sec"`
-	CriticalSec float64 `json:"critical_sec"`
 }
 
 // DAGEdge is one dependency edge, by node index (From must complete before
@@ -34,27 +41,24 @@ type DAGEdge struct {
 	To   int `json:"to"`
 }
 
-// DAGReport is the scheduled stage DAG of one sweep grid, nodes in
-// insertion (topological) order.
+// DAGReport is the stage DAG of one sweep grid, nodes in insertion
+// (topological) order.
 type DAGReport struct {
 	Axes  []string  `json:"axes,omitempty"`
 	Nodes []DAGNode `json:"nodes"`
 	Edges []DAGEdge `json:"edges"`
-	// CriticalPathSec is the grid's projected makespan floor: the longest
-	// root-to-sink chain under the cost model.
-	CriticalPathSec float64 `json:"critical_path_sec"`
 }
 
 // dagFill maps node statuses to DOT fill colors.
 var dagFill = map[string]string{
-	schedCold:    "lightblue",
-	schedCached:  "palegreen",
-	schedSpill:   "khaki",
-	schedMeasure: "lightgrey",
+	dagCold:    "lightblue",
+	dagCached:  "palegreen",
+	dagSpill:   "khaki",
+	dagMeasure: "lightgrey",
 }
 
 // DOT renders the DAG in Graphviz dot syntax, one box per node annotated
-// with projected cost, critical-path cost and status.
+// with its status.
 func (d *DAGReport) DOT() string {
 	var sb strings.Builder
 	sb.WriteString("digraph stages {\n")
@@ -69,13 +73,11 @@ func (d *DAGReport) DOT() string {
 		if n.Point != "" {
 			line2 += " @ " + n.Point
 		}
-		label := fmt.Sprintf("%s\\n%s\\n%.3fs cp %.3fs [%s]",
-			head, line2, n.CostSec, n.CriticalSec, n.Status)
 		fill := dagFill[n.Status]
 		if fill == "" {
 			fill = "white"
 		}
-		fmt.Fprintf(&sb, "  n%d [label=\"%s\", fillcolor=\"%s\"];\n", i, label, fill)
+		fmt.Fprintf(&sb, "  n%d [label=\"%s\\n%s\\n[%s]\", fillcolor=\"%s\"];\n", i, head, line2, n.Status, fill)
 	}
 	for _, e := range d.Edges {
 		fmt.Fprintf(&sb, "  n%d -> n%d;\n", e.From, e.To)
@@ -84,49 +86,70 @@ func (d *DAGReport) DOT() string {
 	return sb.String()
 }
 
-// report converts the builder's DAG (critical costs already computed) into
-// the exported form. Node indices equal seq: order is insertion order.
-func (b *dagBuilder) report(axes []string) *DAGReport {
-	d := &DAGReport{Axes: axes, Nodes: make([]DAGNode, len(b.order))}
-	for i, n := range b.order {
-		d.Nodes[i] = DAGNode{
-			Bench:       n.bench,
-			Stage:       string(n.stage),
-			Point:       n.label,
-			Status:      n.status,
-			CostSec:     n.cost,
-			CriticalSec: n.crit,
-		}
-		if n.stage != stageMeasure {
-			d.Nodes[i].Input = n.input.String()
-		}
-		if n.crit > d.CriticalPathSec {
-			d.CriticalPathSec = n.crit
-		}
-		for _, c := range n.children {
-			d.Edges = append(d.Edges, DAGEdge{From: n.seq, To: c.seq})
-		}
-	}
-	return d
+// dagBuilder accumulates a DAGReport. Stage nodes are deduplicated by
+// artifact key, so two grid points that agree on a stage's config fields
+// share one node exactly as they share one store entry.
+type dagBuilder struct {
+	r     *Runner
+	d     *DAGReport
+	nodes map[artifactKey]int
 }
 
-// SweepDAG plans a grid without executing it: the schedule DAG Sweep would
-// run, annotated with projected costs and store status at planning time.
-// Workload specs in the grid are registered exactly as Sweep registers
-// them; the artifact store is only peeked, never populated.
+// addChain adds one (benchmark, input, config) preparation chain — every
+// pipeline stage through StagePrepared — reusing nodes already added by
+// other chains, and returns the index of the chain's prepared node.
+func (b *dagBuilder) addChain(name string, input program.InputClass, cfg Config) (int, error) {
+	wfp, err := workloadFingerprint(name)
+	if err != nil {
+		return 0, err
+	}
+	plan, err := planFor(cfg, wfp)
+	if err != nil {
+		return 0, err
+	}
+	last := 0
+	for _, st := range Stages() {
+		key := artifactKey{name: name, input: input, stage: st, fp: plan.fps[st]}
+		if i, ok := b.nodes[key]; ok {
+			last = i
+			continue
+		}
+		status := dagCold
+		if _, _, done := b.r.store.peek(key); done {
+			status = dagCached // complete, or a cached failure
+		} else if b.r.diskHas(key) {
+			status = dagSpill
+		}
+		last = len(b.d.Nodes)
+		// Stages() is in dependency order, so every upstream node exists.
+		for _, u := range stageDeps[st] {
+			up := artifactKey{name: name, input: input, stage: u, fp: plan.fps[u]}
+			b.d.Edges = append(b.d.Edges, DAGEdge{From: b.nodes[up], To: last})
+		}
+		b.nodes[key] = last
+		b.d.Nodes = append(b.d.Nodes, DAGNode{Bench: name, Input: input.String(), Stage: string(st), Status: status})
+	}
+	return last, nil
+}
+
+// SweepDAG plans a grid without executing it: the stage DAG behind Sweep's
+// fan-out, annotated with store status at planning time. Workload specs in
+// the grid are registered exactly as Sweep registers them; the artifact
+// store is only peeked, never populated.
 func (r *Runner) SweepDAG(g Grid) (*DAGReport, error) {
-	jobs, targets, axes, err := r.expandGrid(g)
+	jobs, _, axes, err := r.expandGrid(g)
 	if err != nil {
 		return nil, err
 	}
-	b := r.newDAGBuilder()
+	b := &dagBuilder{r: r, d: &DAGReport{Axes: axes}, nodes: map[artifactKey]int{}}
 	for _, j := range jobs {
-		prep, cerr := b.addChain(j.bench, j.pt.cfg.MeasureInput, j.pt.cfg)
-		if cerr != nil {
-			return nil, fmt.Errorf("%s@%s: %w", j.bench, j.pt.point(), cerr)
+		prep, err := b.addChain(j.bench, j.pt.cfg.MeasureInput, j.pt.cfg)
+		if err != nil {
+			return nil, fmt.Errorf("%s@%s: %w", j.bench, j.pt.point(), err)
 		}
-		b.addMeasure(j.pt.point(), r.measureEstimate(j.bench, j.pt.cfg.MeasureInput, len(targets)), prep, nil)
+		b.d.Edges = append(b.d.Edges, DAGEdge{From: prep, To: len(b.d.Nodes)})
+		b.d.Nodes = append(b.d.Nodes, DAGNode{Bench: j.bench, Stage: dagMeasure,
+			Point: j.pt.point(), Status: dagMeasure})
 	}
-	b.computeCritical()
-	return b.report(axes), nil
+	return b.d, nil
 }

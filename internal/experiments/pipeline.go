@@ -60,9 +60,9 @@ func Stages() []Stage {
 }
 
 // stageDeps maps each pipeline stage to its direct upstream stages — the
-// edge set of the stage DAG drawn above, which the scheduler expands into
-// per-workload dependency nodes. Iterating Stages() guarantees every
-// stage's deps precede it.
+// edge set of the stage DAG drawn above, which the DAG export (SweepDAG)
+// expands into per-workload dependency nodes. Iterating Stages() guarantees
+// every stage's deps precede it.
 var stageDeps = map[Stage][]Stage{
 	StageTrace:    nil,
 	StageProfile:  {StageTrace},
@@ -284,7 +284,6 @@ func (r *Runner) stage(ctx context.Context, name string, input program.InputClas
 	key := artifactKey{name: name, input: input, stage: st, fp: plan.fps[st]}
 	val, outcome, err := r.store.get(ctx, key, func() (any, error) {
 		if v, ok, mapped := r.spillLoad(key); ok {
-			r.observeArtifact(name, input, v)
 			sc := r.stageCount(st)
 			sc.spill.Add(1)
 			if mapped {
@@ -301,8 +300,7 @@ func (r *Runner) stage(ctx context.Context, name string, input program.InputClas
 		r.emit(ctx, Event{Kind: EventStageDone, Bench: name, Input: input.String(), Stage: string(st),
 			Err: cerr, DurationNS: elapsed.Nanoseconds()})
 		if cerr == nil {
-			r.observeArtifact(name, input, v)
-			r.observeBuild(st, name, input, elapsed)
+			r.stageLatency(st).record(elapsed.Nanoseconds())
 			r.spillSave(key, v)
 		}
 		return v, cerr
@@ -323,9 +321,7 @@ func (r *Runner) stage(ctx context.Context, name string, input program.InputClas
 // stagedPrepare assembles a Prepared from per-stage artifacts, computing
 // each missing stage at most once per engine (shared across every sweep
 // point, figure and campaign worker whose configuration agrees on the
-// fields that stage reads). The per-stage walk and the scheduler's DAG
-// nodes share one implementation, ensureStage, so both orders produce
-// identical store traffic for identical work.
+// fields that stage reads). Each stage goes through ensureStage.
 func (r *Runner) stagedPrepare(ctx context.Context, name string, input program.InputClass, cfg Config) (*Prepared, error) {
 	wfp, err := workloadFingerprint(name)
 	if err != nil {
@@ -357,9 +353,9 @@ func (r *Runner) stagedPrepare(ctx context.Context, name string, input program.I
 // ensureStage requests one pipeline stage through the content-addressed
 // store, computing it on a cold miss. Compute closures read their upstream
 // artifacts through upstreamStage: when the caller already ordered them —
-// the sequential stagedPrepare walk, or the scheduler's dependency edges —
-// that read is a free peek; an out-of-order call recursively ensures them,
-// so ensureStage is correct from any call site.
+// as the sequential stagedPrepare walk does — that read is a free peek; an
+// out-of-order call recursively ensures them, so ensureStage is correct
+// from any call site.
 func (r *Runner) ensureStage(ctx context.Context, name string, input program.InputClass,
 	cfg Config, plan stagePlan, st Stage) (any, error) {
 	up := func(u Stage) (any, error) { return r.upstreamStage(ctx, name, input, cfg, plan, u) }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/artifactdisk"
 	"repro/internal/program"
 	"repro/internal/pthsel"
-	"repro/internal/trace"
 )
 
 // EventKind classifies an observer notification.
@@ -52,8 +51,8 @@ type Event struct {
 	Err    error
 
 	// DurationNS carries the build's wall-clock nanoseconds on
-	// EventStageDone and EventPrepareDone (0 otherwise) — the observation
-	// stream the scheduler's cost model is built from.
+	// EventStageDone and EventPrepareDone (0 otherwise), so observers can
+	// attribute time to stages.
 	DurationNS int64
 
 	// SimCyclesPerSec carries the run's measured simulator throughput on
@@ -93,16 +92,10 @@ type Runner struct {
 	parallelism int
 	observe     func(Event)
 
-	// sched enables cost-modeled critical-path scheduling of sweeps and
-	// campaigns (the default; see SetScheduling). It is scheduling state,
-	// deliberately outside Config so it never reaches a fingerprint:
-	// toggling it changes build order, not results.
-	sched bool
-
 	// mappedSpill enables the zero-copy mmap trace-spill path (the
-	// default; see SetMappedSpill). Like sched it is never part of a
-	// fingerprint: results are byte-identical mapped or decoded, only the
-	// load cost changes.
+	// default; see SetMappedSpill). It is deliberately outside Config so it
+	// never reaches a fingerprint: results are byte-identical mapped or
+	// decoded, only the load cost changes.
 	mappedSpill bool
 
 	// mappings holds the live artifact mappings whose columns back mapped
@@ -116,7 +109,6 @@ type Runner struct {
 
 	store *artifactStore
 	disk  *artifactdisk.Store // optional spill tier (see AttachDiskStore)
-	costs *costModel          // EWMA build costs feeding the scheduler
 
 	stageStats []stageCounters    // per-stage request outcomes, indexed by stageIndex
 	stageLat   []latencyReservoir // per-stage cold-build latencies, same indexing
@@ -142,10 +134,8 @@ func NewRunner(cfg Config, parallelism int, observe func(Event)) *Runner {
 		cfg:         cfg,
 		parallelism: parallelism,
 		observe:     observe,
-		sched:       true,
 		mappedSpill: true,
 		store:       newArtifactStore(),
-		costs:       newCostModel(),
 		stageStats:  make([]stageCounters, len(stageIndex)),
 		stageLat:    make([]latencyReservoir, len(stageIndex)),
 	}
@@ -153,14 +143,6 @@ func NewRunner(cfg Config, parallelism int, observe func(Event)) *Runner {
 
 // Config returns the engine's base configuration.
 func (r *Runner) Config() Config { return r.cfg }
-
-// SetScheduling toggles cost-modeled critical-path scheduling of sweep and
-// campaign fan-out (enabled by default). Disabled, workers claim work in
-// naive bench-major grid order — the baseline the scheduling benchmark
-// gates against. It is scheduling state, not configuration: results are
-// byte-identical either way, only build order and wall-clock change. Call
-// before issuing work; it is not synchronized with in-flight sweeps.
-func (r *Runner) SetScheduling(enabled bool) { r.sched = enabled }
 
 // SetMappedSpill toggles the zero-copy mmap path for trace spill loads
 // (enabled by default). Disabled — or on platforms without mmap — warm
@@ -252,22 +234,6 @@ func (r *Runner) stageLatency(st Stage) *latencyReservoir {
 	return &r.stageLat[i]
 }
 
-// observeBuild feeds one observed cold build into the cost model and the
-// stage's latency reservoir.
-func (r *Runner) observeBuild(st Stage, name string, input program.InputClass, d time.Duration) {
-	r.costs.record(st, name, input, d.Seconds())
-	r.stageLatency(st).record(d.Nanoseconds())
-}
-
-// observeArtifact notes size facts about a freshly materialized artifact —
-// currently the trace's instruction count, which keys the cost model's
-// workload size classes.
-func (r *Runner) observeArtifact(name string, input program.InputClass, v any) {
-	if tr, ok := v.(*trace.Trace); ok {
-		r.costs.observeSize(name, input, int64(tr.Len()))
-	}
-}
-
 func (r *Runner) emit(ctx context.Context, ev Event) {
 	if r.observe == nil {
 		return
@@ -313,7 +279,7 @@ func (r *Runner) Prepare(ctx context.Context, name string, input program.InputCl
 		r.emit(ctx, Event{Kind: EventPrepareDone, Bench: name, Input: input.String(),
 			Err: perr, DurationNS: elapsed.Nanoseconds()})
 		if perr == nil {
-			r.observeBuild(StagePrepared, name, input, elapsed)
+			r.stageLatency(StagePrepared).record(elapsed.Nanoseconds())
 		}
 		return p, perr
 	})
@@ -401,7 +367,6 @@ func (r *Runner) runBench(ctx context.Context, name string, targets []pthsel.Tar
 		return nil, err
 	}
 	br := &BenchResult{Name: name, Prepared: prep, Runs: map[pthsel.Target]*TargetRun{}}
-	start := time.Now()
 	for _, tgt := range targets {
 		r.emit(ctx, Event{Kind: EventRunStart, Bench: name, Target: tgt.String()})
 		run, err := RunTarget(ctx, prep, prep, tgt, cfg)
@@ -414,10 +379,6 @@ func (r *Runner) runBench(ctx context.Context, name string, targets []pthsel.Tar
 			return nil, err
 		}
 		br.Runs[tgt] = run
-	}
-	if len(targets) > 0 {
-		r.costs.record(stageMeasure, name, cfg.MeasureInput,
-			time.Since(start).Seconds()/float64(len(targets)))
 	}
 	return br, nil
 }
@@ -459,7 +420,7 @@ func (r *Runner) Campaign(ctx context.Context, names []string, targets []pthsel.
 	}
 	errs := make([]error, len(names))
 	var done atomic.Int64
-	runOne := func(ctx context.Context, i int) {
+	r.forEach(ctx, len(names), func(i int) {
 		name := names[i]
 		br, err := r.runBench(ctx, name, targets, r.cfg)
 		if err != nil {
@@ -473,24 +434,7 @@ func (r *Runner) Campaign(ctx context.Context, names []string, targets []pthsel.
 		}
 		r.emit(ctx, Event{Kind: EventBenchDone, Bench: name, Err: err,
 			Done: int(done.Add(1)), Total: len(names)})
-	}
-	if r.sched {
-		// Critical-path order: expand every benchmark's preparation chain
-		// into the shared DAG and hang its measurement sink off the prepared
-		// node. Entries fill preassigned slots, so report order is names
-		// order regardless of completion order.
-		b := r.newDAGBuilder()
-		for i, name := range names {
-			prep, _ := b.addChain(name, r.cfg.MeasureInput, r.cfg)
-			i := i
-			b.addMeasure(name, r.measureEstimate(name, r.cfg.MeasureInput, len(targets)), prep,
-				func(ctx context.Context) { runOne(ctx, i) })
-		}
-		r.runDAG(ctx, b)
-		r.costs.flush()
-	} else {
-		r.forEach(ctx, len(names), func(i int) { runOne(ctx, i) })
-	}
+	})
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		// Benchmarks that never ran (cancelled before launch or mid-flight)
 		// are failures too: without this, partial-report consumers would

@@ -14,7 +14,6 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
-	"path/filepath"
 
 	"repro/internal/artifactdisk"
 	"repro/internal/cpu"
@@ -124,10 +123,6 @@ func (r *Runner) AttachDiskStore(dir string, maxBytes int64) error {
 		return err
 	}
 	r.disk = disk
-	// The scheduler's cost model persists alongside the artifacts, so a
-	// restarted daemon projects its first sweep from observed costs instead
-	// of priors. Best-effort both ways, like every disk-tier operation.
-	r.costs.loadFrom(filepath.Join(dir, "costmodel.json"))
 	return nil
 }
 
@@ -151,7 +146,7 @@ func diskKey(key artifactKey) artifactdisk.Key {
 }
 
 // diskHas reports whether the disk tier could satisfy key without a build —
-// the scheduler's planning probe. It never touches recency or counters.
+// the DAG export's planning probe. It never touches recency or counters.
 func (r *Runner) diskHas(key artifactKey) bool {
 	if r.disk == nil {
 		return false
@@ -268,7 +263,7 @@ type StageStoreStats struct {
 
 	// P50BuildNS / P95BuildNS are cold-build wall-clock percentiles over
 	// the stage's recent builds (a bounded window; 0 before the first cold
-	// build) — the observability surface of the scheduler's cost inputs.
+	// build).
 	P50BuildNS int64 `json:"p50_build_ns,omitempty"`
 	P95BuildNS int64 `json:"p95_build_ns,omitempty"`
 }

@@ -50,8 +50,8 @@ func newArtifactStore() *artifactStore {
 // peek returns a completed entry's value without counting an outcome or
 // waiting on an in-flight computation: ok is false when the key is absent or
 // still computing. It exists for two observers of the store, neither of
-// which is a request for the artifact: the scheduler's DAG planner (costing
-// already-built stages at zero) and compute closures reading upstream
+// which is a request for the artifact: the DAG export's planner (marking
+// already-built stages cached) and compute closures reading upstream
 // artifacts their caller already ordered.
 func (s *artifactStore) peek(key artifactKey) (any, error, bool) {
 	s.mu.Lock()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/program/gen"
 	"repro/internal/pthsel"
@@ -171,29 +170,20 @@ func (r *Runner) Sweep(ctx context.Context, g Grid) (*SweepReport, error) {
 		Points:  make([]SweepPointReport, len(jobs)),
 	}
 	errs := make([]error, len(jobs))
-	defer r.costs.flush()
 	var done atomic.Int64
-	switch {
-	case r.sched:
-		// Critical-path order: the grid's full stage DAG plus one
-		// measurement sink per job, pulled longest-remaining-path-first.
-		// Identical store traffic, events and report indexing to the naive
-		// path below — only order (and wall-clock) changes.
-		b := r.newDAGBuilder()
-		for i, j := range jobs {
-			prep, _ := b.addChain(j.bench, j.pt.cfg.MeasureInput, j.pt.cfg)
-			i := i
-			b.addMeasure(j.pt.point(), r.measureEstimate(j.bench, j.pt.cfg.MeasureInput, len(targets)),
-				prep, func(ctx context.Context) {
-					r.runSweepJob(ctx, i, jobs, targets, rep, errs, &done)
-				})
+	r.forEach(ctx, len(jobs), func(i int) {
+		j := jobs[i]
+		point, perr := r.sweepPoint(ctx, j.bench, j.pt, targets)
+		if perr != nil {
+			errs[i] = fmt.Errorf("%s@%s: %w", j.bench, j.pt.point(), perr)
+		} else {
+			point.Workload = j.wl
+			rep.Points[i] = point
 		}
-		r.runDAG(ctx, b)
-	default:
-		r.forEach(ctx, len(jobs), func(i int) {
-			r.runSweepJob(ctx, i, jobs, targets, rep, errs, &done)
-		})
-	}
+		r.emit(ctx, Event{Kind: EventPointDone, Bench: j.bench,
+			Point: j.pt.point(), Err: perr,
+			Done: int(done.Add(1)), Total: len(jobs)})
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -205,8 +195,7 @@ func (r *Runner) Sweep(ctx context.Context, g Grid) (*SweepReport, error) {
 
 // expandGrid resolves a grid into its job list: workloads registered,
 // names validated, targets defaulted and the cartesian product expanded
-// benchmark-major, row-major — the report row order every execution
-// strategy must preserve.
+// benchmark-major, row-major — the report row order.
 func (r *Runner) expandGrid(g Grid) (jobs []sweepJob, targets []pthsel.Target, axes []string, err error) {
 	names := append([]string(nil), g.Benchmarks...)
 	// Workload labels per registered name; empty for named benchmarks.
@@ -249,23 +238,6 @@ func (r *Runner) expandGrid(g Grid) (jobs []sweepJob, targets []pthsel.Target, a
 	return jobs, targets, axes, nil
 }
 
-// runSweepJob evaluates one job and publishes its point, error and progress
-// event — the shared body of the naive and scheduled serial paths.
-func (r *Runner) runSweepJob(ctx context.Context, i int, jobs []sweepJob,
-	targets []pthsel.Target, rep *SweepReport, errs []error, done *atomic.Int64) {
-	j := jobs[i]
-	point, perr := r.sweepPoint(ctx, j.bench, j.pt, targets)
-	if perr != nil {
-		errs[i] = fmt.Errorf("%s@%s: %w", j.bench, j.pt.point(), perr)
-	} else {
-		point.Workload = j.wl
-		rep.Points[i] = point
-	}
-	r.emit(ctx, Event{Kind: EventPointDone, Bench: j.bench,
-		Point: j.pt.point(), Err: perr,
-		Done: int(done.Add(1)), Total: len(jobs)})
-}
-
 // sweepJob is one (benchmark, grid point) evaluation of a sweep.
 type sweepJob struct {
 	bench string
@@ -282,7 +254,6 @@ func (r *Runner) sweepPoint(ctx context.Context, bench string, pt gridPoint, tar
 	if err != nil {
 		return SweepPointReport{}, err
 	}
-	start := time.Now()
 	point := SweepPointReport{Bench: bench, Labels: pt.labels}
 	for _, tgt := range targets {
 		r.emit(ctx, Event{Kind: EventRunStart, Bench: bench, Target: tgt.String()})
@@ -296,10 +267,6 @@ func (r *Runner) sweepPoint(ctx context.Context, bench string, pt gridPoint, tar
 			return SweepPointReport{}, err
 		}
 		point.Runs = append(point.Runs, runReport(run))
-	}
-	if len(targets) > 0 {
-		r.costs.record(stageMeasure, bench, pt.cfg.MeasureInput,
-			time.Since(start).Seconds()/float64(len(targets)))
 	}
 	return point, nil
 }

@@ -318,6 +318,38 @@ func buildGrid(req labapi.SweepRequest) (preexec.Grid, error) {
 // buffer an arbitrarily large body.
 const maxSweepBody = 1 << 20
 
+// maxSweepCells caps a request's (benchmarks + workloads) × grid points ×
+// targets. The largest grid an in-repo client submits is all nine paper
+// benchmarks over all three axes (27 points) under all five targets: 1,215
+// cells. At 10,000 the cap is ~8× that; it only stops one request from
+// registering thousands of generator specs or having the handler plan an
+// enormous DAG synchronously.
+const maxSweepCells = 10_000
+
+// Every sensitivity axis has the paper's three points, and a request
+// naming no targets gets the paper's three (L, E, P).
+const (
+	axisPoints     = 3
+	defaultTargets = 3
+)
+
+// sweepCells counts a decoded request's cells, saturating just past
+// maxSweepCells so an absurd axis list cannot overflow.
+func sweepCells(req labapi.SweepRequest) int {
+	targets := len(req.Targets)
+	if targets == 0 {
+		targets = defaultTargets
+	}
+	n := (len(req.Benchmarks) + len(req.Workloads)) * targets
+	for range req.Axes {
+		if n > maxSweepCells {
+			break
+		}
+		n *= axisPoints
+	}
+	return n
+}
+
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req labapi.SweepRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepBody)).Decode(&req); err != nil {
@@ -327,6 +359,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		httpError(w, status, fmt.Errorf("decode request: %w", err))
+		return
+	}
+	if sweepCells(req) > maxSweepCells {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("grid exceeds %d cells ((benchmarks + workloads) × points × targets)", maxSweepCells))
 		return
 	}
 	grid, err := buildGrid(req)
@@ -341,9 +377,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithCancel(s.base)
 	j := &job{state: labapi.JobRunning, cancel: cancel, subs: map[*subscriber]struct{}{}}
-	// Plan the job's schedule DAG before it runs, so clients can inspect
-	// what the scheduler saw — which stages were projected cold, cached or
-	// disk-resident — for the store state this job was submitted against.
+	// Plan the job's stage DAG before it runs, so clients can inspect which
+	// stages were projected cold, cached or disk-resident for the store
+	// state this job was submitted against.
 	// Best-effort: a grid that cannot be planned still runs (and fails)
 	// through the normal path.
 	if dag, err := s.lab.SweepDAG(grid); err == nil {

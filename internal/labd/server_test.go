@@ -375,6 +375,59 @@ func TestNewRejectsUnknownEngine(t *testing.T) {
 	}
 }
 
+// TestOversizedSweepGrid pins the grid-size cap: a request past
+// maxSweepCells — by axis product or by workload count — is refused with
+// 400 before it becomes a job, and the server keeps serving other requests
+// afterwards. The largest in-repo grid stays under the cap.
+func TestOversizedSweepGrid(t *testing.T) {
+	largest := labapi.SweepRequest{
+		Axes:       []string{"idle", "mem", "l2"},
+		Benchmarks: preexec.PaperBenchmarks(),
+		Targets:    []string{"O", "L", "E", "P", "P2"},
+	}
+	if n := sweepCells(largest); n != 1215 || n > maxSweepCells {
+		t.Errorf("largest in-repo grid counts %d cells, want 1215 under the %d cap", n, maxSweepCells)
+	}
+
+	_, ts := newTestServer(t, Config{Dir: t.TempDir()})
+	manyWorkloads := make([]string, maxSweepCells)
+	for i := range manyWorkloads {
+		manyWorkloads[i] = fmt.Sprintf("pointer-chase:%d", i+1)
+	}
+	for name, req := range map[string]labapi.SweepRequest{
+		"axes":      {Axes: strings.Split(strings.Repeat("idle,mem,l2,", 3)+"idle", ","), Benchmarks: []string{"gap"}},
+		"workloads": {Workloads: manyWorkloads, Targets: []string{"L"}, Benchmarks: []string{"gap"}},
+	} {
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: oversized grid status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []labapi.Job
+	err = json.NewDecoder(resp.Body).Decode(&jobs)
+	resp.Body.Close()
+	if err != nil || len(jobs) != 0 {
+		t.Errorf("oversized grids left jobs %v (decode err %v), want none", jobs, err)
+	}
+	resp, err = http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("stats after oversized grids: status %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestOversizedSweepBody pins the request-body cap: a sweep body past
 // maxSweepBody is refused with 413 before it becomes a job, and the server
 // keeps serving other requests afterwards.

@@ -149,9 +149,9 @@ type (
 	StageStoreStats = experiments.StageStoreStats
 	// DiskStoreStats is the on-disk spill tier's counter snapshot.
 	DiskStoreStats = artifactdisk.Stats
-	// DAGReport is a sweep grid's scheduled stage DAG — nodes annotated
-	// with projected cost and cold/cached/spill status — as planned by the
-	// critical-path scheduler (see Lab.SweepDAG; DOT renders Graphviz).
+	// DAGReport is a sweep grid's planned stage DAG — stage nodes and
+	// measurement sinks annotated with cold/cached/spill status (see
+	// Lab.SweepDAG; DOT renders Graphviz).
 	DAGReport = experiments.DAGReport
 	// DAGNode is one node of a DAGReport.
 	DAGNode = experiments.DAGNode
@@ -336,18 +336,6 @@ func WithParallelism(n int) Option { return func(l *Lab) { l.parallelism = n } }
 // serialized (never concurrently) but from worker goroutines.
 func WithObserver(fn func(Event)) Option { return func(l *Lab) { l.observe = fn } }
 
-// WithScheduling toggles cost-modeled critical-path scheduling of sweep and
-// campaign fan-out (default: enabled). Enabled, the engine expands every
-// pending (benchmark × stage) chain into a dependency DAG before fanning
-// out, projects each node's remaining critical-path cost from an EWMA cost
-// model fed by observed build times, and has the worker pool pull ready
-// nodes longest-critical-path-first — speculatively pre-building stages the
-// grid will need ahead of the first point that demands them. Disabled,
-// workers claim points in naive bench-major grid order. Results and report
-// row order are byte-identical either way; only build order and cold-sweep
-// wall-clock change. Scheduling is never part of an artifact fingerprint.
-func WithScheduling(enabled bool) Option { return func(l *Lab) { l.scheduling = &enabled } }
-
 // WithMappedSpill toggles the zero-copy mmap path for warm trace loads
 // from a disk store (default: enabled). Enabled, a spilled trace in the
 // page-aligned v2 format is memory-mapped read-only and its columns alias
@@ -355,8 +343,8 @@ func WithScheduling(enabled bool) Option { return func(l *Lab) { l.scheduling = 
 // no decode, no copy, and N processes sharing one store directory share
 // one page-cache copy. Disabled — or on platforms without mmap — warm
 // trace loads fall back to the chunk-parallel v2 heap decode (still ahead
-// of the serial v1 path). Results are byte-identical either way; like
-// scheduling, the switch never enters an artifact fingerprint.
+// of the serial v1 path). Results are byte-identical either way; the
+// switch never enters an artifact fingerprint.
 func WithMappedSpill(enabled bool) Option { return func(l *Lab) { l.mappedSpill = &enabled } }
 
 // WithDiskStore attaches an on-disk content-addressed spill tier at dir
@@ -392,7 +380,6 @@ type Lab struct {
 	cfg         Config
 	parallelism int
 	observe     func(Event)
-	scheduling  *bool // nil: default (enabled)
 	mappedSpill *bool // nil: default (enabled)
 	run         *experiments.Runner
 	cfgErr      error
@@ -413,9 +400,6 @@ func New(opts ...Option) *Lab {
 	}
 	l.cfgErr = experiments.ValidateEngine(l.cfg.CPU.Engine)
 	l.run = experiments.NewRunner(l.cfg, l.parallelism, l.observe)
-	if l.scheduling != nil {
-		l.run.SetScheduling(*l.scheduling)
-	}
 	if l.mappedSpill != nil {
 		l.run.SetMappedSpill(*l.mappedSpill)
 	}
@@ -639,10 +623,10 @@ func (l *Lab) Sweep(ctx context.Context, g Grid) (*SweepReport, error) {
 	return l.run.Sweep(ctx, g)
 }
 
-// SweepDAG plans a grid without running it: the stage dependency DAG the
-// critical-path scheduler would execute, with every node annotated by its
-// projected status against the engine's current stores (cold / cached /
-// spill / measure), its cost estimate and its remaining critical-path cost.
+// SweepDAG plans a grid without running it: the stage dependency DAG behind
+// the sweep, stage nodes deduplicated across grid points and one
+// measurement sink per point, every node annotated with its status against
+// the engine's current stores (cold / cached / spill / measure).
 // The report's DOT method renders Graphviz (cmd/report -dag; the daemon's
 // GET /v1/jobs/{id}/dag). Planning registers the grid's workloads but
 // builds nothing and touches no counters.
