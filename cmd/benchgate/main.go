@@ -15,10 +15,13 @@
 //     (trace/profile/slice-tree executions) than the baseline's
 //     MaxWarmGridStageBuilds (0 since the staged-pipeline tentpole: warm
 //     sweep points reuse every cached upstream artifact), and
-//   - the mapped trace-spill load (BenchmarkTraceSpill, v1 heap decode and
-//     mapped open+verify interleaved per iteration so drift cancels) must
-//     stay at or above the baseline's MinSpillMapGain over the v1 path
-//     (machine-independent; the zero-copy tentpole's >= 5x requirement).
+//   - the mapped trace-spill load (BenchmarkTraceSpill, v2 heap decode and
+//     mapped open+verify of the same file interleaved per iteration so
+//     drift cancels) must stay at or above the baseline's MinSpillMapGain
+//     over the v2 heap decode (machine-independent; >= 5x), and
+//   - the mapped side's heap allocation per pass over the paper suite must
+//     not exceed the baseline's MaxSpillMapBytesPerOp (machine-independent
+//     and exact: the heap saving that justifies mapping traces at all).
 //
 // Usage:
 //
@@ -52,13 +55,16 @@ type Report struct {
 	EventBytesPerOp   float64 // steady-state bytes allocated per full-suite op
 
 	// Trace spill columns (BenchmarkTraceSpill): seconds per warm load of
-	// the full paper suite's spilled traces through the v1 heap path (read +
-	// checksum + serial decode) vs the zero-copy mapped path (mmap + chunk
-	// verify). The two sides run back to back per iteration, so the gated
-	// SpillMapGain ratio (load / map) is robust to machine drift.
-	TraceSpillLoadSec float64
-	TraceSpillMapSec  float64
-	SpillMapGain      float64
+	// the full paper suite's spilled traces through the v2 heap path (read +
+	// chunk verify + column copies) vs the zero-copy mapped path (mmap +
+	// chunk verify) over the same files. The two sides run back to back per
+	// iteration, so the gated SpillMapGain ratio (load / map) is robust to
+	// machine drift. TraceSpillMapBytes is the gated heap allocation of one
+	// mapped pass.
+	TraceSpillLoadSec  float64
+	TraceSpillMapSec   float64
+	TraceSpillMapBytes float64
+	SpillMapGain       float64
 
 	// Sweep grid columns (BenchmarkSweepGrid): seconds per 3-point
 	// single-axis sweep, cold (fresh engine) vs warm (every stage
@@ -88,13 +94,23 @@ type Baseline struct {
 	// (machine-independent; 0 = warm sweep points must reuse every cached
 	// upstream artifact — the staged-pipeline contract).
 	MaxWarmGridStageBuilds float64
-	// MinSpillMapGain is the required paired v1-decode/mapped-open ratio for
-	// warm trace spill loads (machine-independent; the zero-copy mapped path
-	// must load the paper suite's traces at least this much faster than the
-	// v1 heap decode).
+	// MinSpillMapGain is the required paired v2-heap-decode/mapped-open
+	// ratio for warm trace spill loads (machine-independent; the zero-copy
+	// mapped path must load the paper suite's traces at least this much
+	// faster than the v2 heap decode of the same files).
 	MinSpillMapGain float64
-	Note            string `json:",omitempty"`
+	// MaxSpillMapBytesPerOp caps the heap bytes one mapped load of the paper
+	// suite's traces allocates (machine-independent and exact; the heap
+	// decode of the same files allocates ~115 MB).
+	MaxSpillMapBytesPerOp float64
+	Note                  string `json:",omitempty"`
 }
+
+// spillMapBytesCap is the MaxSpillMapBytesPerOp that -update commits:
+// 256 KiB, about 7x the 27-37 KB a mapped pass allocates at GOMAXPROCS 1-4
+// (its only variable part is the verify workers, bounded by the chunk
+// count), and over 400x below the heap decode.
+const spillMapBytesCap = 256 << 10
 
 func main() {
 	baselinePath := flag.String("baseline", "testdata/bench_baseline.json", "committed baseline file")
@@ -152,9 +168,15 @@ func main() {
 	sp := spill["BenchmarkTraceSpill"]
 	rep.TraceSpillLoadSec = sp.spillLoadSec
 	rep.TraceSpillMapSec = sp.spillMapSec
+	rep.TraceSpillMapBytes = sp.spillMapBytes
 	rep.SpillMapGain = sp.spillMapGain
 	if rep.SpillMapGain <= 0 {
 		fatal("missing spill-map-gain metric in trace spill benchmark output")
+	}
+	// A mapped load always allocates its Trace header, so 0 means the
+	// gated metric is missing, not that the cap passed.
+	if rep.TraceSpillMapBytes <= 0 {
+		fatal("missing trace-spill-map-bytes metric in trace spill benchmark output")
 	}
 
 	raw, _ := json.MarshalIndent(rep, "", "  ")
@@ -166,8 +188,8 @@ func main() {
 		rep.EventCyclesPerSec, rep.EventAllocsPerOp, rep.EventBytesPerOp, rep.ScanCyclesPerSec, rep.Speedup)
 	fmt.Printf("benchgate: sweep grid cold %.2fs (%.0f stage builds), warm %.2fs (%.0f stage builds)\n",
 		rep.SweepColdSec, rep.ColdGridStageBuilds, rep.SweepWarmSec, rep.WarmGridStageBuilds)
-	fmt.Printf("benchgate: trace spill v1 decode %.4fs, mapped open %.4fs, paired gain %.2fx\n",
-		rep.TraceSpillLoadSec, rep.TraceSpillMapSec, rep.SpillMapGain)
+	fmt.Printf("benchgate: trace spill v2 heap decode %.4fs, mapped open %.4fs (%.0f B), paired gain %.2fx\n",
+		rep.TraceSpillLoadSec, rep.TraceSpillMapSec, rep.TraceSpillMapBytes, rep.SpillMapGain)
 
 	if *update {
 		b := Baseline{
@@ -177,6 +199,7 @@ func main() {
 			MaxEventBytesPerOp:     rep.EventBytesPerOp,
 			MaxWarmGridStageBuilds: rep.WarmGridStageBuilds,
 			MinSpillMapGain:        5.0,
+			MaxSpillMapBytesPerOp:  spillMapBytesCap,
 			Note:                   "measured by cmd/benchgate -update; scale EventCyclesPerSec down for heterogeneous CI runners (see EXPERIMENTS.md)",
 		}
 		braw, _ := json.MarshalIndent(b, "", "  ")
@@ -223,11 +246,17 @@ func main() {
 			rep.WarmGridStageBuilds, base.MaxWarmGridStageBuilds)
 	}
 	if base.MinSpillMapGain > 0 && rep.SpillMapGain < base.MinSpillMapGain {
-		fatal("spill regression: paired mapped trace-load gain %.2fx < required %.2fx (the zero-copy mapped path must beat the v1 heap decode)",
+		fatal("spill regression: paired mapped trace-load gain %.2fx < required %.2fx (the zero-copy mapped path must beat the v2 heap decode)",
 			rep.SpillMapGain, base.MinSpillMapGain)
 	}
-	fmt.Printf("benchgate: PASS (floor %.0f sim-cycles/s, min speedup %.2fx, max %.0f allocs/op, max %.0f warm grid stage builds, min spill map gain %.2fx)\n",
-		floor, base.MinSpeedup, base.MaxEventAllocsPerOp, base.MaxWarmGridStageBuilds, base.MinSpillMapGain)
+	// Exact like the other allocation gates: the mapped path exists to keep
+	// traces off the heap, whatever the machine's speed.
+	if rep.TraceSpillMapBytes > base.MaxSpillMapBytesPerOp {
+		fatal("spill allocation regression: a mapped trace-load pass allocated %.0f B > allowed %.0f (mapped traces must stay off the heap)",
+			rep.TraceSpillMapBytes, base.MaxSpillMapBytesPerOp)
+	}
+	fmt.Printf("benchgate: PASS (floor %.0f sim-cycles/s, min speedup %.2fx, max %.0f allocs/op, max %.0f warm grid stage builds, min spill map gain %.2fx, max spill map %.0f B)\n",
+		floor, base.MinSpeedup, base.MaxEventAllocsPerOp, base.MaxWarmGridStageBuilds, base.MinSpillMapGain, base.MaxSpillMapBytesPerOp)
 }
 
 type benchLine struct {
@@ -236,6 +265,7 @@ type benchLine struct {
 	gridStageBuilds float64 // BenchmarkSweepGrid's grid-stage-builds metric
 	spillLoadSec    float64 // BenchmarkTraceSpill's trace-spill-load-sec metric
 	spillMapSec     float64 // BenchmarkTraceSpill's trace-spill-map-sec metric
+	spillMapBytes   float64 // BenchmarkTraceSpill's trace-spill-map-bytes metric
 	spillMapGain    float64 // BenchmarkTraceSpill's paired spill-map-gain ratio
 	bytesPerOp      float64 // -benchmem B/op
 	allocsPerOp     float64 // -benchmem allocs/op
@@ -245,7 +275,7 @@ type benchLine struct {
 // lines into name -> {ns/op, sim-cycles/s, B/op, allocs/op}. With count >
 // 1, repeated lines per benchmark are folded best-of for the speed columns
 // (max throughput, min ns/op) and worst-of for the gated allocation and
-// stage-build columns.
+// stage-build columns (spill map bytes included).
 func runBench(pattern, benchtime string, count int) (map[string]benchLine, error) {
 	cmd := exec.Command("go", "test", "-run", "^$", "-bench", "^"+pattern+"$",
 		"-benchtime", benchtime, "-count", strconv.Itoa(count), "-benchmem", ".")
@@ -282,6 +312,8 @@ func runBench(pattern, benchtime string, count int) (map[string]benchLine, error
 				bl.spillLoadSec = v
 			case "trace-spill-map-sec":
 				bl.spillMapSec = v
+			case "trace-spill-map-bytes":
+				bl.spillMapBytes = v
 			case "spill-map-gain":
 				bl.spillMapGain = v
 			case "B/op":
@@ -298,6 +330,7 @@ func runBench(pattern, benchtime string, count int) (map[string]benchLine, error
 			bl.gridStageBuilds = max(bl.gridStageBuilds, prev.gridStageBuilds)
 			bl.spillLoadSec = min(bl.spillLoadSec, prev.spillLoadSec)
 			bl.spillMapSec = min(bl.spillMapSec, prev.spillMapSec)
+			bl.spillMapBytes = max(bl.spillMapBytes, prev.spillMapBytes)
 			bl.spillMapGain = max(bl.spillMapGain, prev.spillMapGain)
 		}
 		res[name] = bl

@@ -18,7 +18,9 @@
 // Because every job runs through one engine, concurrent clients share
 // in-flight builds, and the disk store makes every heavy preparation stage
 // survive daemon restarts: re-submitting a sweep after a restart rebuilds
-// nothing. See EXPERIMENTS.md for the API and disk-layout details.
+// nothing. Warm trace loads are served from read-only memory mappings of
+// the spill files (heap decode where the platform cannot map); there is
+// no switch for it. See EXPERIMENTS.md for the API and disk-layout details.
 package main
 
 import (
@@ -46,7 +48,6 @@ func main() {
 	maxBytes := flag.Int64("max-store-bytes", 0, "disk store byte budget (0 = unlimited)")
 	parallelism := flag.Int("j", 0, "worker-pool bound (0 = GOMAXPROCS)")
 	engine := flag.String("engine", "", "simulation engine for every job: event or scan")
-	mmapSpill := flag.Bool("mmap", true, "serve warm trace loads from read-only memory mappings (zero-copy; false = heap decode)")
 	flag.Parse()
 
 	if *dir == "" {
@@ -54,8 +55,7 @@ func main() {
 		os.Exit(2)
 	}
 	srv, err := labd.New(labd.Config{Dir: *dir, MaxStoreBytes: *maxBytes,
-		Parallelism: *parallelism, Engine: *engine,
-		DisableMappedSpill: !*mmapSpill})
+		Parallelism: *parallelism, Engine: *engine})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "labd:", err)
 		os.Exit(1)

@@ -92,12 +92,6 @@ type Runner struct {
 	parallelism int
 	observe     func(Event)
 
-	// mappedSpill enables the zero-copy mmap trace-spill path (the
-	// default; see SetMappedSpill). It is deliberately outside Config so it
-	// never reaches a fingerprint: results are byte-identical mapped or
-	// decoded, only the load cost changes.
-	mappedSpill bool
-
 	// mappings holds the live artifact mappings whose columns back mapped
 	// traces. In-memory artifacts live for the Runner's lifetime, so their
 	// backing mappings must too; the store's deferred byte accounting
@@ -134,7 +128,6 @@ func NewRunner(cfg Config, parallelism int, observe func(Event)) *Runner {
 		cfg:         cfg,
 		parallelism: parallelism,
 		observe:     observe,
-		mappedSpill: true,
 		store:       newArtifactStore(),
 		stageStats:  make([]stageCounters, len(stageIndex)),
 		stageLat:    make([]latencyReservoir, len(stageIndex)),
@@ -143,13 +136,6 @@ func NewRunner(cfg Config, parallelism int, observe func(Event)) *Runner {
 
 // Config returns the engine's base configuration.
 func (r *Runner) Config() Config { return r.cfg }
-
-// SetMappedSpill toggles the zero-copy mmap path for trace spill loads
-// (enabled by default). Disabled — or on platforms without mmap — warm
-// trace loads fall back to the chunk-parallel heap decode. Results are
-// byte-identical either way; only load cost and memory sharing change.
-// Call before issuing work; it is not synchronized with in-flight loads.
-func (r *Runner) SetMappedSpill(enabled bool) { r.mappedSpill = enabled }
 
 // stageIndex maps each pipeline stage to its counter slot, derived from
 // Stages() so the stage list is maintained in exactly one place.

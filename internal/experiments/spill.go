@@ -58,9 +58,9 @@ func jsonCodec[T any]() stageCodec {
 var stageCodecs = map[Stage]stageCodec{
 	StageTrace: {
 		// Traces spill in the page-aligned v2 format so the warm path can
-		// mmap them; the decoder still accepts v1-era files (a populated
-		// store directory keeps working across the format bump — v1 files
-		// just load through the heap path until rewritten).
+		// mmap them. decode is the heap path: platforms without mmap, and
+		// payloads LoadMapped declines (a plain container). A v1-era
+		// payload fails v2 verification and is quarantined and rebuilt.
 		encode: func(v any) ([]byte, error) {
 			var buf bytes.Buffer
 			if err := v.(*trace.Trace).EncodeBinaryV2(&buf); err != nil {
@@ -73,11 +73,7 @@ var stageCodecs = map[Stage]stageCodec{
 			if err != nil {
 				return nil, err
 			}
-			prog := bm.Build(input)
-			if trace.IsV2(data) {
-				return trace.DecodeBinaryV2(data, prog)
-			}
-			return trace.DecodeBinary(bytes.NewReader(data), prog)
+			return trace.DecodeBinaryV2(data, bm.Build(input))
 		},
 		aligned: true,
 	},
@@ -90,7 +86,7 @@ var stageCodecs = map[Stage]stageCodec{
 			return buf.Bytes(), nil
 		},
 		decode: func(_ string, _ program.InputClass, data []byte) (any, error) {
-			return profile.DecodeBinary(bytes.NewReader(data))
+			return profile.DecodeBinary(data)
 		},
 	},
 	StageSlices: {
@@ -102,7 +98,7 @@ var stageCodecs = map[Stage]stageCodec{
 			return buf.Bytes(), nil
 		},
 		decode: func(_ string, _ program.InputClass, data []byte) (any, error) {
-			return slicer.DecodeTrees(bytes.NewReader(data))
+			return slicer.DecodeTrees(data)
 		},
 	},
 	StageProblems: jsonCodec[[]*profile.LoadStats](),
@@ -171,14 +167,14 @@ func (r *Runner) spillLoad(key artifactKey) (v any, ok, mapped bool) {
 		return nil, false, false
 	}
 	dk := diskKey(key)
-	if key.stage == StageTrace && r.mappedSpill {
+	if key.stage == StageTrace {
 		if v, ok := r.spillLoadMapped(key, dk); ok {
 			return v, true, true
 		}
 		// Fall through to the heap path: the artifact may be absent, held
-		// in the unmappable v1 container, on a platform without mmap, or
-		// freshly quarantined (in which case the load below misses and the
-		// caller rebuilds).
+		// in the unmappable plain container, on a platform without mmap,
+		// or freshly quarantined (in which case the load below misses and
+		// the caller rebuilds).
 	}
 	data, ok := r.disk.Load(dk)
 	if !ok {

@@ -57,12 +57,46 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
+// rewriteTracePlain moves gap's trace artifact in dir from the page-aligned
+// LABART02 container into a plain LABART01 one (Save, not SaveAligned), the
+// way a store written before the aligned container held it. mutate, if
+// non-nil, edits the payload first.
+func rewriteTracePlain(t *testing.T, dir string, cfg Config, mutate func([]byte)) {
+	t.Helper()
+	plan, err := planFor(cfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dk := diskKey(artifactKey{name: "gap", input: program.Train, stage: StageTrace, fp: plan.fps[StageTrace]})
+	st, err := artifactdisk.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, ok := st.Load(dk)
+	if !ok {
+		t.Fatal("populated store has no gap trace")
+	}
+	if mutate != nil {
+		mutate(payload)
+	}
+	if err := os.Remove(traceSpillFile(t, dir)); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = artifactdisk.Open(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(dk, payload); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMappedSpillRestartWarm pins the zero-copy restart path: a fresh Runner
 // over a populated directory serves its trace through a read-only mapping
 // (spill_mapped == 1 on the trace stage, 0 everywhere else), keeps one file
 // mapped in the store's accounting, and assembles a preparation equal to the
-// cold one. A runner with the mapped path disabled still loads the same v2
-// file, just through the heap decoder.
+// cold one. Two legacy layouts take the heap path instead: a v2 payload in
+// the plain container loads through the heap decoder, and a v1-era payload
+// is quarantined, rebuilt and re-spilled as a mappable v2 file.
 func TestMappedSpillRestartWarm(t *testing.T) {
 	if !artifactdisk.MapSupported() {
 		t.Skip("platform cannot map files")
@@ -124,25 +158,86 @@ func TestMappedSpillRestartWarm(t *testing.T) {
 		t.Errorf("mapped trace length %d, cold %d", p2.Trace.Len(), p1.Trace.Len())
 	}
 
-	// Mapped path disabled: the same v2 file loads through the heap decoder.
-	r3 := NewRunner(cfg, 0, nil)
-	r3.SetMappedSpill(false)
-	if err := r3.AttachDiskStore(dir, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r3.Prepare(ctx, "gap", program.Train, cfg); err != nil {
-		t.Fatal(err)
-	}
-	s3 := r3.StoreStats()
-	if n := s3.Stages[StageTrace].SpillLoads; n != 1 {
-		t.Errorf("heap-only runner: trace spill_loads = %d, want 1", n)
-	}
-	if n := s3.Stages[StageTrace].SpillMapped; n != 0 {
-		t.Errorf("heap-only runner: trace spill_mapped = %d, want 0", n)
-	}
-	if s3.Disk.MappedFiles != 0 {
-		t.Errorf("heap-only runner: %d mapped files, want 0", s3.Disk.MappedFiles)
-	}
+	// A v2 payload in the plain container: LoadMapped declines it without
+	// quarantine, and the heap decoder serves it.
+	t.Run("plain-container-v2", func(t *testing.T) {
+		d := t.TempDir()
+		copyDir(t, dir, d)
+		rewriteTracePlain(t, d, cfg, nil)
+		r3 := NewRunner(cfg, 0, nil)
+		if err := r3.AttachDiskStore(d, 0); err != nil {
+			t.Fatal(err)
+		}
+		p3, err := r3.Prepare(ctx, "gap", program.Train, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s3 := r3.StoreStats()
+		if n := s3.Stages[StageTrace].SpillLoads; n != 1 {
+			t.Errorf("trace spill_loads = %d, want 1", n)
+		}
+		if n := s3.Stages[StageTrace].SpillMapped; n != 0 {
+			t.Errorf("trace spill_mapped = %d, want 0", n)
+		}
+		if s3.Disk.MappedFiles != 0 {
+			t.Errorf("%d mapped files, want 0", s3.Disk.MappedFiles)
+		}
+		if s3.Disk.Quarantined != 0 {
+			t.Errorf("quarantined %d files, want 0", s3.Disk.Quarantined)
+		}
+		for _, st := range spillableStages() {
+			if n := r3.StagePrepares(st); n != 0 {
+				t.Errorf("stage %s rebuilt %d times, want 0", st, n)
+			}
+		}
+		if !reflect.DeepEqual(p1.Baseline, p3.Baseline) || !reflect.DeepEqual(p1.Params, p3.Params) ||
+			!reflect.DeepEqual(p1.Curves, p3.Curves) || p1.Trace.Len() != p3.Trace.Len() {
+			t.Error("heap-decoded preparation diverged from the cold one")
+		}
+	})
+
+	// A v1-era file: a payload under the retired v1 trace magic (the v2
+	// magic with its version digit set back to 1) in the plain container.
+	// No decoder reads it any more, so it is quarantined, rebuilt and
+	// re-spilled as v2.
+	t.Run("plain-container-v1", func(t *testing.T) {
+		d := t.TempDir()
+		copyDir(t, dir, d)
+		rewriteTracePlain(t, d, cfg, func(payload []byte) { payload[7] = '1' })
+		r4 := NewRunner(cfg, 0, nil)
+		if err := r4.AttachDiskStore(d, 0); err != nil {
+			t.Fatal(err)
+		}
+		p4, err := r4.Prepare(ctx, "gap", program.Train, cfg)
+		if err != nil {
+			t.Fatalf("prepare over a v1-era store: %v", err)
+		}
+		s4 := r4.StoreStats()
+		if s4.Disk.Quarantined != 1 {
+			t.Errorf("quarantined %d files, want 1", s4.Disk.Quarantined)
+		}
+		if n := r4.StagePrepares(StageTrace); n != 1 {
+			t.Errorf("trace stage rebuilt %d times, want 1", n)
+		}
+		for _, st := range spillableStages() {
+			if st != StageTrace && r4.StagePrepares(st) != 0 {
+				t.Errorf("stage %s rebuilt, want served from disk", st)
+			}
+		}
+		if s4.Disk.Saves != 1 {
+			t.Errorf("re-spilled %d artifacts, want 1 (the rebuilt trace)", s4.Disk.Saves)
+		}
+		raw, err := os.ReadFile(traceSpillFile(t, d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raw) < 4096+8 || string(raw[:8]) != "LABART02" || string(raw[4096:4104]) != "PXTRC002" {
+			t.Error("rebuilt trace was not re-spilled as a v2 payload in the aligned container")
+		}
+		if !reflect.DeepEqual(p1.Baseline, p4.Baseline) {
+			t.Error("rebuilt baseline diverged from the cold one")
+		}
+	})
 }
 
 // TestMappedSpillCorruptionMatrix drives the mapped load path into every
@@ -204,13 +299,15 @@ func TestMappedSpillCorruptionMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		// The retired v1 magic differs from PXTRC002 only in the version
+		// digit, the payload's eighth byte.
 		{"stale-v1-magic", func(t *testing.T, path string) {
 			f, err := os.OpenFile(path, os.O_WRONLY, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			if _, err := f.WriteAt([]byte("PXTRC001"), 4096); err != nil {
+			if _, err := f.WriteAt([]byte{'1'}, 4096+7); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -84,98 +85,113 @@ func (p *Profile) EncodeBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// DecodeBinary reads a profile in the spill-tier format. Decode errors mean
-// corruption (or a stale format); callers quarantine and rebuild.
-func DecodeBinary(r io.Reader) (*Profile, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var scratch [8]byte
-	if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-		return nil, fmt.Errorf("profile: decode header: %w", err)
+// decoder reads the spill format from a held payload. Every element count
+// is checked against the bytes that remain before anything is sized from
+// it, so a forged count fails without allocating; the first failure
+// sticks and later reads return zero.
+type decoder struct {
+	data []byte
+	err  error
+}
+
+func (d *decoder) take(n int) []byte {
+	if d.err != nil {
+		return nil
 	}
-	if string(scratch[:8]) != serialMagic {
-		return nil, fmt.Errorf("profile: bad magic %q", scratch[:8])
+	if n > len(d.data) {
+		d.err = fmt.Errorf("profile: truncated payload (%d bytes short)", n-len(d.data))
+		return nil
 	}
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return serialOrder.Uint32(scratch[:4]), nil
+	b := d.data[:n]
+	d.data = d.data[n:]
+	return b
+}
+
+func (d *decoder) u32() uint32 {
+	if b := d.take(4); b != nil {
+		return serialOrder.Uint32(b)
 	}
-	readI64 := func() (int64, error) {
-		if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-			return 0, err
-		}
-		return int64(serialOrder.Uint64(scratch[:8])), nil
+	return 0
+}
+
+func (d *decoder) i64() int64 {
+	if b := d.take(8); b != nil {
+		return int64(serialOrder.Uint64(b))
+	}
+	return 0
+}
+
+// count reads an element count and rejects it unless that many elements of
+// at least size bytes each fit in the remaining payload.
+func (d *decoder) count(what string, size int) int {
+	n := d.u32()
+	if d.err == nil && uint64(n)*uint64(size) > uint64(len(d.data)) {
+		d.err = fmt.Errorf("profile: %s count %d exceeds the %d bytes left", what, n, len(d.data))
+		return 0
+	}
+	return int(n)
+}
+
+// loadRecordMin is the encoded size of a load record with no miss indices:
+// PC, three counters and the miss-index count.
+const loadRecordMin = 4 + 3*8 + 4
+
+// DecodeBinary decodes a profile from its spill-format payload. Decode
+// errors mean corruption (or a stale format); callers quarantine and
+// rebuild.
+func DecodeBinary(data []byte) (*Profile, error) {
+	d := &decoder{data: data}
+	if magic := d.take(len(serialMagic)); d.err != nil || string(magic) != serialMagic {
+		return nil, fmt.Errorf("profile: bad magic %q", data[:min(len(data), len(serialMagic))])
 	}
 	p := &Profile{Loads: make(map[int32]*LoadStats)}
-	var err error
-	if p.TotalInsts, err = readI64(); err != nil {
-		return nil, fmt.Errorf("profile: decode totals: %w", err)
-	}
-	if p.TotalL2, err = readI64(); err != nil {
-		return nil, fmt.Errorf("profile: decode totals: %w", err)
-	}
-	nExec, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("profile: decode exec counts: %w", err)
-	}
-	if nExec > 1<<28 {
-		return nil, fmt.Errorf("profile: implausible exec-count length %d", nExec)
-	}
+	p.TotalInsts = d.i64()
+	p.TotalL2 = d.i64()
+	nExec := d.count("exec", 8)
 	p.ExecCounts = make([]int64, nExec)
 	for i := range p.ExecCounts {
-		if p.ExecCounts[i], err = readI64(); err != nil {
-			return nil, fmt.Errorf("profile: decode exec counts: %w", err)
-		}
+		p.ExecCounts[i] = d.i64()
 	}
-	nLevels, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("profile: decode levels: %w", err)
-	}
-	if int64(nLevels) != p.TotalInsts {
+	nLevels := d.count("level", 1)
+	if d.err == nil && int64(nLevels) != p.TotalInsts {
 		return nil, fmt.Errorf("profile: levels length %d != total instructions %d", nLevels, p.TotalInsts)
 	}
 	p.Levels = make([]uint8, nLevels)
-	if _, err := io.ReadFull(br, p.Levels); err != nil {
-		return nil, fmt.Errorf("profile: decode levels: %w", err)
-	}
-	nLoads, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("profile: decode loads: %w", err)
-	}
+	copy(p.Levels, d.take(nLevels))
+	nLoads := d.count("load", loadRecordMin)
 	if nLoads > nExec {
 		return nil, fmt.Errorf("profile: %d loads for %d static instructions", nLoads, nExec)
 	}
-	for i := uint32(0); i < nLoads; i++ {
-		pc, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("profile: decode loads: %w", err)
+	prev := int64(math.MinInt64)
+	for i := 0; i < nLoads && d.err == nil; i++ {
+		ls := &LoadStats{PC: int32(d.u32())}
+		if d.err != nil {
+			break
 		}
-		ls := &LoadStats{PC: int32(pc)}
-		for _, dst := range []*int64{&ls.Execs, &ls.L1Misses, &ls.L2Misses} {
-			if *dst, err = readI64(); err != nil {
-				return nil, fmt.Errorf("profile: decode load %d: %w", pc, err)
-			}
+		// The encoder writes loads in strictly increasing PC order; anything
+		// else (a duplicate PC in particular) is not a payload it produced.
+		if int64(ls.PC) <= prev {
+			return nil, fmt.Errorf("profile: load %d out of PC order", ls.PC)
 		}
-		nIx, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("profile: decode load %d: %w", pc, err)
-		}
+		prev = int64(ls.PC)
+		ls.Execs, ls.L1Misses, ls.L2Misses = d.i64(), d.i64(), d.i64()
+		nIx := d.count("miss-index", 8)
 		if int64(nIx) > p.TotalInsts {
-			return nil, fmt.Errorf("profile: load %d has %d miss indices for %d instructions", pc, nIx, p.TotalInsts)
+			return nil, fmt.Errorf("profile: load %d has %d miss indices for %d instructions", ls.PC, nIx, p.TotalInsts)
 		}
 		if nIx > 0 {
 			ls.MissDynIx = make([]int64, nIx)
 			for j := range ls.MissDynIx {
-				if ls.MissDynIx[j], err = readI64(); err != nil {
-					return nil, fmt.Errorf("profile: decode load %d: %w", pc, err)
-				}
+				ls.MissDynIx[j] = d.i64()
 			}
 		}
 		p.Loads[ls.PC] = ls
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("profile: trailing bytes after last load")
+	if d.err != nil {
+		return nil, d.err
+	}
+	if len(d.data) != 0 {
+		return nil, fmt.Errorf("profile: %d trailing bytes after last load", len(d.data))
 	}
 	return p, nil
 }

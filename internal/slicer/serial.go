@@ -109,129 +109,127 @@ func EncodeTrees(w io.Writer, trees []*Tree) error {
 	return bw.Flush()
 }
 
-// DecodeTrees reads slice trees in the spill-tier format. Decode errors
-// mean corruption (or a stale format); callers quarantine and rebuild.
-func DecodeTrees(r io.Reader) ([]*Tree, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var scratch [8]byte
-	if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-		return nil, fmt.Errorf("slicer: decode header: %w", err)
+// decoder reads the spill format from a held payload. Every element count
+// is checked against the bytes that remain before anything is sized from
+// it, so a forged count fails without allocating; the first failure
+// sticks and later reads return zero.
+type decoder struct {
+	data []byte
+	err  error
+}
+
+func (d *decoder) take(n int) []byte {
+	if d.err != nil {
+		return nil
 	}
-	if string(scratch[:8]) != serialMagic {
-		return nil, fmt.Errorf("slicer: bad magic %q", scratch[:8])
+	if n > len(d.data) {
+		d.err = fmt.Errorf("slicer: truncated payload (%d bytes short)", n-len(d.data))
+		return nil
 	}
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return serialOrder.Uint32(scratch[:4]), nil
+	b := d.data[:n]
+	d.data = d.data[n:]
+	return b
+}
+
+func (d *decoder) u32() uint32 {
+	if b := d.take(4); b != nil {
+		return serialOrder.Uint32(b)
 	}
-	readI64 := func() (int64, error) {
-		if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-			return 0, err
-		}
-		return int64(serialOrder.Uint64(scratch[:8])), nil
+	return 0
+}
+
+func (d *decoder) i64() int64 {
+	if b := d.take(8); b != nil {
+		return int64(serialOrder.Uint64(b))
 	}
-	nTrees, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("slicer: decode tree count: %w", err)
+	return 0
+}
+
+// count reads an element count and rejects it unless that many elements of
+// at least size bytes each fit in the remaining payload.
+func (d *decoder) count(what string, size int) int {
+	n := d.u32()
+	if d.err == nil && uint64(n)*uint64(size) > uint64(len(d.data)) {
+		d.err = fmt.Errorf("slicer: %s count %d exceeds the %d bytes left", what, n, len(d.data))
+		return 0
 	}
-	if nTrees > 1<<20 {
-		return nil, fmt.Errorf("slicer: implausible tree count %d", nTrees)
+	return int(n)
+}
+
+// Encoded record sizes used to bound counts: a node is parent, PC, depth
+// and three counters; a tree is at least its target PC, a load record
+// without miss indices, Sampled, Scale, the node count and one node.
+const (
+	nodeRecord = 3*4 + 3*8
+	treeMin    = 4 + (4 + 3*8 + 4) + 8 + 8 + 4 + nodeRecord
+)
+
+// DecodeTrees decodes slice trees from their spill-format payload. Decode
+// errors mean corruption (or a stale format); callers quarantine and
+// rebuild.
+func DecodeTrees(data []byte) ([]*Tree, error) {
+	d := &decoder{data: data}
+	if magic := d.take(len(serialMagic)); d.err != nil || string(magic) != serialMagic {
+		return nil, fmt.Errorf("slicer: bad magic %q", data[:min(len(data), len(serialMagic))])
 	}
+	nTrees := d.count("tree", treeMin)
 	trees := make([]*Tree, 0, nTrees)
-	for ti := uint32(0); ti < nTrees; ti++ {
-		targetPC, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("slicer: decode tree %d: %w", ti, err)
-		}
-		ls := &profile.LoadStats{}
-		pc, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("slicer: decode tree %d load: %w", ti, err)
-		}
-		ls.PC = int32(pc)
-		for _, dst := range []*int64{&ls.Execs, &ls.L1Misses, &ls.L2Misses} {
-			if *dst, err = readI64(); err != nil {
-				return nil, fmt.Errorf("slicer: decode tree %d load: %w", ti, err)
-			}
-		}
-		nIx, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("slicer: decode tree %d load: %w", ti, err)
-		}
-		if nIx > 1<<28 {
-			return nil, fmt.Errorf("slicer: implausible miss-index count %d", nIx)
-		}
-		if nIx > 0 {
+	for ti := 0; ti < nTrees && d.err == nil; ti++ {
+		t := &Tree{TargetPC: int32(d.u32())}
+		ls := &profile.LoadStats{PC: int32(d.u32())}
+		ls.Execs, ls.L1Misses, ls.L2Misses = d.i64(), d.i64(), d.i64()
+		if nIx := d.count("miss-index", 8); nIx > 0 {
 			ls.MissDynIx = make([]int64, nIx)
 			for j := range ls.MissDynIx {
-				if ls.MissDynIx[j], err = readI64(); err != nil {
-					return nil, fmt.Errorf("slicer: decode tree %d load: %w", ti, err)
-				}
+				ls.MissDynIx[j] = d.i64()
 			}
 		}
-		t := &Tree{TargetPC: int32(targetPC), Load: ls}
-		if t.Sampled, err = readI64(); err != nil {
-			return nil, fmt.Errorf("slicer: decode tree %d: %w", ti, err)
-		}
-		bits, err := readI64()
-		if err != nil {
-			return nil, fmt.Errorf("slicer: decode tree %d: %w", ti, err)
-		}
-		t.Scale = math.Float64frombits(uint64(bits))
-		nNodes, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("slicer: decode tree %d nodes: %w", ti, err)
-		}
-		if nNodes == 0 || nNodes > 1<<24 {
-			return nil, fmt.Errorf("slicer: implausible node count %d in tree %d", nNodes, ti)
+		t.Load = ls
+		t.Sampled = d.i64()
+		t.Scale = math.Float64frombits(uint64(d.i64()))
+		nNodes := d.count("node", nodeRecord)
+		if d.err == nil && nNodes == 0 {
+			return nil, fmt.Errorf("slicer: tree %d has no nodes", ti)
 		}
 		flat := make([]*Node, nNodes)
-		for ni := uint32(0); ni < nNodes; ni++ {
-			parent, err := readU32()
-			if err != nil {
-				return nil, fmt.Errorf("slicer: decode tree %d node %d: %w", ti, ni, err)
-			}
-			n := &Node{}
-			pc, err := readU32()
-			if err != nil {
-				return nil, fmt.Errorf("slicer: decode tree %d node %d: %w", ti, ni, err)
-			}
-			n.PC = int32(pc)
-			depth, err := readU32()
-			if err != nil {
-				return nil, fmt.Errorf("slicer: decode tree %d node %d: %w", ti, ni, err)
-			}
-			n.Depth = int(depth)
-			for _, dst := range []*int64{&n.DCtrig, &n.DCptcm, &n.DistSum} {
-				if *dst, err = readI64(); err != nil {
-					return nil, fmt.Errorf("slicer: decode tree %d node %d: %w", ti, ni, err)
-				}
+		for ni := 0; ni < nNodes && d.err == nil; ni++ {
+			parent := d.u32()
+			n := &Node{PC: int32(d.u32()), Depth: int(d.u32())}
+			n.DCtrig, n.DCptcm, n.DistSum = d.i64(), d.i64(), d.i64()
+			if d.err != nil {
+				break
 			}
 			flat[ni] = n
-			switch {
-			case parent == ^uint32(0):
-				if ni != 0 {
-					return nil, fmt.Errorf("slicer: tree %d has a second root at node %d", ti, ni)
+			if ni == 0 {
+				if parent != ^uint32(0) {
+					return nil, fmt.Errorf("slicer: tree %d does not start at its root", ti)
 				}
 				t.Root = n
-			case parent >= ni:
-				// Preorder guarantees parents precede children; a forward
-				// reference is corruption (and would otherwise nil-deref).
-				return nil, fmt.Errorf("slicer: tree %d node %d references parent %d out of order", ti, ni, parent)
-			default:
-				n.Parent = flat[parent]
-				n.Parent.Children = append(n.Parent.Children, n)
+				continue
 			}
-		}
-		if t.Root == nil {
-			return nil, fmt.Errorf("slicer: tree %d has no root", ti)
+			// Preorder: a node's parent is the previous node or one of its
+			// ancestors. Anything else is corruption — a forward reference
+			// would nil-deref, and any other order re-encodes differently.
+			if parent >= uint32(ni) {
+				return nil, fmt.Errorf("slicer: tree %d node %d references parent %d out of order", ti, ni, parent)
+			}
+			p := flat[ni-1]
+			for p != nil && p != flat[parent] {
+				p = p.Parent
+			}
+			if p == nil {
+				return nil, fmt.Errorf("slicer: tree %d node %d: parent %d is not on the preorder path", ti, ni, parent)
+			}
+			n.Parent = p
+			p.Children = append(p.Children, n)
 		}
 		trees = append(trees, t)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("slicer: trailing bytes after last tree")
+	if d.err != nil {
+		return nil, d.err
+	}
+	if len(d.data) != 0 {
+		return nil, fmt.Errorf("slicer: %d trailing bytes after last tree", len(d.data))
 	}
 	return trees, nil
 }

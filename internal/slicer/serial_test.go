@@ -3,6 +3,7 @@ package slicer
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -28,7 +29,7 @@ func TestTreesSerialRoundTrip(t *testing.T) {
 	if err := EncodeTrees(&buf, trees); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeTrees(bytes.NewReader(buf.Bytes()))
+	got, err := DecodeTrees(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +80,67 @@ func TestTreesSerialRejectsCorruption(t *testing.T) {
 		"truncated": raw[:len(raw)-5],
 		"trailing":  append(append([]byte(nil), raw...), 7),
 	} {
-		if _, err := DecodeTrees(bytes.NewReader(data)); err == nil {
+		if _, err := DecodeTrees(data); err == nil {
 			t.Errorf("%s: decode succeeded, want error", name)
 		}
 	}
+}
+
+// TestTreesDecodeBoundsCountsByInput pins that a forged miss-index count
+// fails before anything is sized from it: a one-tree payload claiming 2^28
+// miss indices (2 GiB of int64) must error while allocating under 1 MB.
+func TestTreesDecodeBoundsCountsByInput(t *testing.T) {
+	forged := []byte(serialMagic)
+	forged = serialOrder.AppendUint32(forged, 1) // tree count
+	forged = serialOrder.AppendUint32(forged, 7) // target PC
+	forged = serialOrder.AppendUint32(forged, 7) // load PC
+	forged = append(forged, make([]byte, 3*8)...)
+	forged = serialOrder.AppendUint32(forged, 1<<28) // miss-index count
+	// Pad so the tree count itself is plausible and the miss-index count
+	// is the first claim the payload cannot back.
+	forged = append(forged, make([]byte, treeMin)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeTrees(forged)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("decoding the forged payload allocated %d bytes, want < 1 MB", n)
+	}
+	if err == nil {
+		t.Error("forged miss-index count decoded, want error")
+	}
+}
+
+// FuzzSliceTreesDecode: any input either fails to decode or decodes to a
+// forest that re-encodes to exactly the input bytes — never a panic.
+func FuzzSliceTreesDecode(f *testing.F) {
+	trees, _, _ := buildTestTrees(f, paperLoop(300), DefaultConfig())
+	var buf bytes.Buffer
+	if err := EncodeTrees(&buf, trees); err != nil {
+		f.Fatal(err)
+	}
+	pristine := buf.Bytes()
+	f.Add(pristine)
+	f.Add([]byte(nil))
+	for _, cut := range []int{7, 8, 12, 60, len(pristine) / 2, len(pristine) - 1} {
+		f.Add(pristine[:cut])
+	}
+	for _, off := range []int{9, 30, 56, len(pristine) - 30} {
+		mut := append([]byte(nil), pristine...)
+		mut[off] ^= 0x40
+		f.Add(mut)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := DecodeTrees(data)
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := EncodeTrees(&out, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("decoded forest re-encodes to %d different bytes (input %d)", out.Len(), len(data))
+		}
+	})
 }

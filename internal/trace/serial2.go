@@ -1,11 +1,19 @@
 package trace
 
-// Version-2 spill format (PXTRC002): the mmap-ready layout of the chunked
-// structure-of-arrays trace. Where PXTRC001 is a plain stream a loader must
-// copy into freshly allocated chunks, v2 lays every column segment on a
-// 4 KiB page boundary so a loader can map the file read-only and alias the
-// chunk columns (pc/prod1/prod2/addr/val/taken) directly onto the mapping —
-// zero decode, zero copy, page-cache-resident and shared across processes.
+// The trace spill format (PXTRC002): the mmap-ready layout of the chunked
+// structure-of-arrays trace, and the only format the on-disk artifact spill
+// tier stores traces in. Every column segment sits on a 4 KiB page boundary
+// so a loader can map the file read-only and alias the chunk columns
+// (pc/prod1/prod2/addr/val/taken) directly onto the mapping — zero decode,
+// zero copy, page-cache-resident and shared across processes. Platforms
+// that cannot map decode the same bytes onto the heap (DecodeBinaryV2).
+//
+// The program itself is deliberately NOT serialized: the caller supplies it
+// on decode (the disk store rebuilds it from the benchmark registry, which
+// the store key's content fingerprint already covers). The trailer carries
+// the program's shape (name, instruction count, memory size) so a stale or
+// mismatched file is detected as corruption instead of producing a trace
+// whose PCs silently index a different program.
 //
 // Payload layout (offsets relative to the payload start, which the aligned
 // artifact container places on a page boundary of the file):
@@ -27,15 +35,15 @@ package trace
 //	             64 × finalReg i64 | over1 cnt u32 + sorted (k,v) i64 pairs |
 //	             over2 likewise — covered whole by the header's trailerCRC
 //
-// All integers are little-endian, like v1. Every offset is derivable from n
-// alone, so the verifier recomputes the layout and rejects any header whose
+// All integers are little-endian. Every offset is derivable from n alone,
+// so the verifier recomputes the layout and rejects any header whose
 // claimed geometry disagrees before touching chunk data. Verification is
-// once per chunk (CRC + PC range scan) and chunk-parallel, not per entry
-// and serial as in v1.
+// once per chunk (CRC + PC range scan) and chunk-parallel, not per entry.
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -48,8 +56,12 @@ import (
 	"repro/internal/isa"
 )
 
-// serialMagicV2 identifies the page-aligned mappable column format.
+// serialMagicV2 identifies the page-aligned mappable column format; bump
+// the trailing digits on any layout change so old spill files quarantine
+// instead of misloading.
 const serialMagicV2 = "PXTRC002"
+
+var serialOrder = binary.LittleEndian
 
 const (
 	v2Page       = 4096
@@ -109,13 +121,8 @@ func v2TrailerOff(n int64) int64 {
 	return v2Page + (numChunks-1)*v2ChunkRegion(chunkLen) + v2ChunkRegion(v2Filled(n, int(numChunks-1)))
 }
 
-// IsV2 reports whether data begins with the v2 spill magic.
-func IsV2(data []byte) bool {
-	return len(data) >= len(serialMagicV2) && string(data[:len(serialMagicV2)]) == serialMagicV2
-}
-
 // v2Trailer serializes the program shape, final registers and overflow maps
-// (sorted for deterministic bytes, like v1).
+// (sorted for deterministic bytes).
 func (t *Trace) v2Trailer() []byte {
 	var b bytes.Buffer
 	var scratch [8]byte
@@ -271,7 +278,7 @@ func parseV2Header(data []byte) (v2Layout, error) {
 	if len(data) < v2Page {
 		return lay, fmt.Errorf("trace: v2 payload shorter than header page (%d bytes)", len(data))
 	}
-	if !IsV2(data) {
+	if string(data[:len(serialMagicV2)]) != serialMagicV2 {
 		return lay, fmt.Errorf("trace: bad magic %q", data[:8])
 	}
 	if got, want := crc32.Checksum(data[:60], crcCastagnoli), serialOrder.Uint32(data[60:]); got != want {
@@ -373,7 +380,7 @@ func parseV2Trailer(data []byte, lay v2Layout, prog *isa.Program, t *Trace) erro
 			return fmt.Errorf("trace: overflow count %d exceeds trailer", cnt)
 		}
 		if cnt > 0 {
-			m := make(map[int64]int64, minInt64(int64(cnt), 1<<16))
+			m := make(map[int64]int64, min(cnt, 1<<16))
 			for i := uint32(0); i < cnt; i++ {
 				k, _ := readI64()
 				v, _ := readI64()
@@ -388,10 +395,10 @@ func parseV2Trailer(data []byte, lay v2Layout, prog *isa.Program, t *Trace) erro
 	return nil
 }
 
-// DecodeBinaryV2 decodes a v2 payload into heap-owned chunks. Chunk
-// verification and column copies run chunk-parallel, so even without mmap
-// the v2 path beats the serial v1 decode. Errors mean corruption
-// (quarantine and rebuild), never a fatal condition.
+// DecodeBinaryV2 decodes a v2 payload into heap-owned chunks — the load
+// path where mmap is unavailable or the payload cannot be aliased. Chunk
+// verification and column copies run chunk-parallel. Errors mean
+// corruption (quarantine and rebuild), never a fatal condition.
 func DecodeBinaryV2(data []byte, prog *isa.Program) (*Trace, error) {
 	t, _, err := decodeV2(data, prog, false)
 	return t, err

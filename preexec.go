@@ -336,24 +336,17 @@ func WithParallelism(n int) Option { return func(l *Lab) { l.parallelism = n } }
 // serialized (never concurrently) but from worker goroutines.
 func WithObserver(fn func(Event)) Option { return func(l *Lab) { l.observe = fn } }
 
-// WithMappedSpill toggles the zero-copy mmap path for warm trace loads
-// from a disk store (default: enabled). Enabled, a spilled trace in the
-// page-aligned v2 format is memory-mapped read-only and its columns alias
-// the mapping directly — per-chunk CRC and PC-range verification at open,
-// no decode, no copy, and N processes sharing one store directory share
-// one page-cache copy. Disabled — or on platforms without mmap — warm
-// trace loads fall back to the chunk-parallel v2 heap decode (still ahead
-// of the serial v1 path). Results are byte-identical either way; the
-// switch never enters an artifact fingerprint.
-func WithMappedSpill(enabled bool) Option { return func(l *Lab) { l.mappedSpill = &enabled } }
-
 // WithDiskStore attaches an on-disk content-addressed spill tier at dir
 // behind the engine's in-memory artifact store, with a byte budget
 // (maxBytes <= 0: unlimited; least-recently-used artifacts are evicted over
 // budget). Stage artifacts are persisted under their content fingerprints,
 // so a fresh Lab pointed at a populated directory satisfies every heavy
 // preparation stage with a verified disk load instead of a rebuild — the
-// restart-warm guarantee behind the lab daemon. Corrupt files are
+// restart-warm guarantee behind the lab daemon. A spilled trace is
+// memory-mapped read-only and its columns alias the mapping (verified per
+// chunk at open, no decode, one page-cache copy shared by every process
+// on the directory); platforms without mmap decode it onto the heap.
+// Results are byte-identical either way. Corrupt files are
 // quarantined and rebuilt, never fatal. A directory that cannot be opened
 // surfaces through Lab.DiskStoreErr (the Lab still works, uncached).
 func WithDiskStore(dir string, maxBytes int64) Option {
@@ -380,7 +373,6 @@ type Lab struct {
 	cfg         Config
 	parallelism int
 	observe     func(Event)
-	mappedSpill *bool // nil: default (enabled)
 	run         *experiments.Runner
 	cfgErr      error
 
@@ -400,9 +392,6 @@ func New(opts ...Option) *Lab {
 	}
 	l.cfgErr = experiments.ValidateEngine(l.cfg.CPU.Engine)
 	l.run = experiments.NewRunner(l.cfg, l.parallelism, l.observe)
-	if l.mappedSpill != nil {
-		l.run.SetMappedSpill(*l.mappedSpill)
-	}
 	if l.diskSet {
 		l.diskErr = l.run.AttachDiskStore(l.diskDir, l.diskMax)
 	}
